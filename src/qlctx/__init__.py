@@ -1,124 +1,11 @@
 """Toolkit for interlinked quantum measurement contexts: Greechie
 orthogonality diagrams and their two-valued states, Hilbert-space
 realizability, multipartite spin states, and outcome-uniqueness analysis.
+
+The public API is the submodules (``qlctx.logic``, ``qlctx.realizability``,
+``qlctx.states``, ``qlctx.uniqueness``, ``qlctx.contexts``,
+``qlctx.linalg``, ``qlctx.corpus``); importing the package itself loads
+none of them.
 """
 
-from .contexts import (
-    Context,
-    context_operator,
-    link_observables,
-    split_selfadjoint,
-    two_tripod_bases,
-)
-from .linalg import (
-    SpectralForm,
-    dyad,
-    kernel,
-    rotation_unitary,
-    spectral_decompose,
-    spin_matrices,
-    tensor,
-)
-from .logic import (
-    GreechieDiagram,
-    HullMembership,
-    ParseError,
-    StateSetClassification,
-    classify,
-    hull_membership,
-    link_atoms,
-    make_diagram,
-    nonseparating_pairs,
-    parse_diagram,
-    render,
-    two_valued_states,
-)
-from .realizability import (
-    Realization,
-    SaturationOutcome,
-    SearchResult,
-    born_probabilities,
-    load_realization,
-    saturate_orthogonality,
-    save_realization,
-    search_realization,
-    verify_realization,
-)
-from .states import (
-    MultipartiteState,
-    apply_identical_local,
-    apply_local,
-    catalog_state,
-    is_form_invariant,
-    read_qs,
-    sample_rotation,
-    singlet_subspace,
-    spin_total_operators,
-    write_qs,
-)
-from .uniqueness import (
-    CounterfactualOutcome,
-    NullFilterError,
-    UniquenessReport,
-    check_uniqueness,
-    check_uniqueness_rotated,
-    counterfactual_complete,
-    filter_outcome,
-    term_count,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Context",
-    "CounterfactualOutcome",
-    "GreechieDiagram",
-    "HullMembership",
-    "MultipartiteState",
-    "NullFilterError",
-    "ParseError",
-    "Realization",
-    "SaturationOutcome",
-    "SearchResult",
-    "SpectralForm",
-    "StateSetClassification",
-    "UniquenessReport",
-    "apply_identical_local",
-    "apply_local",
-    "born_probabilities",
-    "catalog_state",
-    "check_uniqueness",
-    "check_uniqueness_rotated",
-    "classify",
-    "context_operator",
-    "counterfactual_complete",
-    "dyad",
-    "filter_outcome",
-    "hull_membership",
-    "is_form_invariant",
-    "kernel",
-    "link_atoms",
-    "link_observables",
-    "load_realization",
-    "make_diagram",
-    "nonseparating_pairs",
-    "parse_diagram",
-    "read_qs",
-    "render",
-    "rotation_unitary",
-    "sample_rotation",
-    "saturate_orthogonality",
-    "save_realization",
-    "search_realization",
-    "singlet_subspace",
-    "spectral_decompose",
-    "spin_matrices",
-    "spin_total_operators",
-    "split_selfadjoint",
-    "tensor",
-    "term_count",
-    "two_tripod_bases",
-    "two_valued_states",
-    "verify_realization",
-    "write_qs",
-]

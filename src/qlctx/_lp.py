@@ -59,17 +59,24 @@ def feasibility(a, b):
     if objective > 0:
         y_neg = [ONE - cost[n + i] for i in range(m)]
         y = [sign[i] * y_neg[i] for i in range(m)]
-        for j in range(n):  # exact certificate sanity check
-            assert sum(y[i] * a[i][j] for i in range(m)) <= 0
-        assert sum(y[i] * b[i] for i in range(m)) > 0
+        # each verdict is checked exactly against the original system, by a
+        # raise rather than an assert so that python -O keeps the check
+        for j in range(n):
+            if sum(y[i] * a[i][j] for i in range(m)) > 0:
+                raise ArithmeticError(
+                    f"Farkas certificate fails y·A <= 0 at column {j}"
+                )
+        if sum(y[i] * b[i] for i in range(m)) <= 0:
+            raise ArithmeticError("Farkas certificate fails y·b > 0")
         return "infeasible", None, y
 
     x = [ZERO] * n
     for i, var in enumerate(basis):
         if var < n:
             x[var] = rows[i][-1]
-    for i in range(m):  # exact solution sanity check
-        assert sum(a[i][j] * x[j] for j in range(n)) == b[i]
+    for i in range(m):
+        if sum(a[i][j] * x[j] for j in range(n)) != b[i]:
+            raise ArithmeticError(f"basic solution fails A·x = b at row {i}")
     return "feasible", x, None
 
 

@@ -3,6 +3,10 @@
 Exit codes: 0 = analysis completed, 1 = analysis completed with a negative
 verdict (not unique / refuted / outside the hull / nonclassical state set /
 no witness found), 2 = usage or input error.
+
+Only ``logic`` (pure Python) is imported here; numpy and the other engine
+modules are imported inside the commands that use them, so a command pays
+start-up only for what it runs.
 """
 
 from __future__ import annotations
@@ -13,12 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import click
-import numpy as np
 
-from . import contexts as contextops
-from . import logic, realizability
-from . import states as statemod
-from . import uniqueness
+from . import logic
 
 EXIT_NEGATIVE = 1
 
@@ -41,7 +41,9 @@ def _load_diagram(path: str) -> logic.GreechieDiagram:
         raise click.UsageError(f"{path}: {exc}") from None
 
 
-def _load_state(path: str) -> statemod.MultipartiteState:
+def _load_state(path: str):
+    from . import states as statemod
+
     try:
         return statemod.read_qs(_read_text(path))
     except ValueError as exc:
@@ -60,10 +62,14 @@ def _frac(value: Fraction) -> str:
 
 
 def _complex_rows(matrix) -> list:
+    import numpy as np
+
     return [[[z.real, z.imag] for z in row] for row in np.asarray(matrix, complex)]
 
 
-def _state_terms(psi: statemod.MultipartiteState) -> list:
+def _state_terms(psi) -> list:
+    import numpy as np
+
     shape = (psi.site_dim,) * psi.sites
     terms = []
     for idx in np.flatnonzero(np.abs(psi.coeffs) > 1e-12):
@@ -115,7 +121,7 @@ def states_classify(diagram_file, as_json):
     """Classify the two-valued state set of a .gd diagram."""
     diagram = _load_diagram(diagram_file)
     result = logic.classify(diagram)
-    count = len(logic.two_valued_states(diagram))
+    count = result.state_count
     if as_json:
         _echo_json(
             {
@@ -217,9 +223,11 @@ def hull(diagram_file, assignment, tol, as_json):
 
 @main.command("realize")
 @click.argument("diagram_file")
-@click.option("--dim", required=True, type=int, help="Hilbert-space dimension.")
+@click.option("--dim", required=True, type=click.IntRange(min=2),
+              help="Hilbert-space dimension.")
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--restarts", default=20, show_default=True, type=int)
+@click.option("--restarts", default=20, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--complex", "complex_space", is_flag=True,
               help="Search complex vectors (default real).")
 @click.option("-o", "outfile", default=None,
@@ -227,6 +235,8 @@ def hull(diagram_file, assignment, tol, as_json):
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def realize(diagram_file, dim, seed, restarts, complex_space, outfile, as_json):
     """Search for unit vectors realizing a diagram's orthogonality."""
+    from . import realizability
+
     diagram = _load_diagram(diagram_file)
     result = realizability.search_realization(
         diagram, dim, seed=seed, restarts=restarts, complex_space=complex_space
@@ -266,6 +276,8 @@ def realize(diagram_file, dim, seed, restarts, complex_space, outfile, as_json):
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def saturate(diagram_file, as_json):
     """Run the dimension-3 orthogonality saturation rule on a diagram."""
+    from . import realizability
+
     diagram = _load_diagram(diagram_file)
     try:
         outcome = realizability.saturate_orthogonality(diagram)
@@ -322,7 +334,7 @@ def uniq_group():
     """Outcome-uniqueness analyses of .qs states."""
 
 
-def _report_payload(report: uniqueness.UniquenessReport) -> dict:
+def _report_payload(report) -> dict:
     return {
         "unique": report.overall,
         "term_count": report.term_count,
@@ -340,13 +352,16 @@ def _report_payload(report: uniqueness.UniquenessReport) -> dict:
 
 @uniq_group.command("check")
 @click.argument("state_file")
-@click.option("--rotations", default=0, show_default=True, type=int,
+@click.option("--rotations", default=0, show_default=True,
+              type=click.IntRange(min=0),
               help="Also check this many random identical local rotations.")
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--tol", default=1e-9, show_default=True, type=float)
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def uniq_check(state_file, rotations, seed, tol, as_json):
     """Check the outcome-uniqueness property of a state."""
+    from . import uniqueness
+
     psi = _load_state(state_file)
     base = uniqueness.check_uniqueness(psi, tol=tol)
     rotated = []
@@ -397,6 +412,8 @@ def uniq_check(state_file, rotations, seed, tol, as_json):
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def catalog(name, outfile, as_json):
     """Emit a catalog state (psi2, psi3, psi4_1..3, ghzm) as .qs text."""
+    from . import states as statemod
+
     try:
         psi = statemod.catalog_state(name)
     except ValueError as exc:
@@ -420,6 +437,8 @@ def catalog(name, outfile, as_json):
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def singlet(dim, sites, as_json):
     """Orthonormal basis of the total-spin-zero subspace."""
+    from . import states as statemod
+
     try:
         basis = statemod.singlet_subspace(dim, sites)
     except ValueError as exc:
@@ -457,6 +476,10 @@ def context_group():
 def context_op(phi, eigs, as_json):
     """Operator of the phi-rotated tripod context, compared with the
     standard-basis context (eigenvalues 1,2,3)."""
+    import numpy as np
+
+    from . import contexts as contextops
+
     try:
         eig_values = tuple(float(x) for x in eigs.split(","))
     except ValueError:
@@ -495,6 +518,10 @@ def context_op(phi, eigs, as_json):
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def split(matrix_file, as_json):
     """Split a square matrix A into self-adjoint components A = A1 + i A2."""
+    import numpy as np
+
+    from . import contexts as contextops
+
     rows = []
     for lineno, raw in enumerate(_read_text(matrix_file).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

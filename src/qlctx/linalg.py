@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_TOL = 1e-9
 
@@ -138,4 +137,9 @@ def rotation_unitary(d: int, axis, angle: float) -> np.ndarray:
         raise ValueError("axis must be nonzero")
     n = axis / norm
     sx, sy, sz = spin_matrices(d)
-    return scipy.linalg.expm(-1j * angle * (n[0] * sx + n[1] * sy + n[2] * sz))
+    k = n[0] * sx + n[1] * sy + n[2] * sz
+    # closed forms from the spectrum of n̂·S: (n̂·S)² = I/4 for spin 1/2,
+    # and (n̂·S)³ = n̂·S for spin 1
+    if d == 2:
+        return np.cos(angle / 2) * np.eye(2) - 2j * np.sin(angle / 2) * k
+    return np.eye(3) - 1j * np.sin(angle) * k + (np.cos(angle) - 1) * (k @ k)

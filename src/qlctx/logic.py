@@ -182,7 +182,10 @@ def nonseparating_pairs(diagram: GreechieDiagram) -> list[tuple[str, str]]:
     Empty when no two-valued states exist (nonexistence is reported
     separately by classify).
     """
-    states = two_valued_states(diagram)
+    return _pairs_in(diagram, two_valued_states(diagram))
+
+
+def _pairs_in(diagram: GreechieDiagram, states) -> list[tuple[str, str]]:
     if not states:
         return []
     pairs = []
@@ -198,27 +201,34 @@ class StateSetClassification:
 
     kind is one of 'nonexistent', 'nonunital', 'unital_nonseparating',
     'separating'; witnesses are the atoms never assigned 1 (nonunital) or
-    the indistinguishable atom pairs (nonseparating).
+    the indistinguishable atom pairs (nonseparating).  ``state_count`` is
+    the number of two-valued states the classification rests on.
     """
 
     kind: str
     witness_atoms: tuple[str, ...] = ()
     witness_pairs: tuple[tuple[str, str], ...] = ()
+    state_count: int = 0
 
 
 def classify(diagram: GreechieDiagram) -> StateSetClassification:
     states = two_valued_states(diagram)
+    count = len(states)
     if not states:
         return StateSetClassification("nonexistent")
     dead = tuple(
         a for a in diagram.atoms if all(a not in s for s in states)
     )
     if dead:
-        return StateSetClassification("nonunital", witness_atoms=dead)
-    pairs = tuple(nonseparating_pairs(diagram))
+        return StateSetClassification(
+            "nonunital", witness_atoms=dead, state_count=count
+        )
+    pairs = tuple(_pairs_in(diagram, states))
     if pairs:
-        return StateSetClassification("unital_nonseparating", witness_pairs=pairs)
-    return StateSetClassification("separating")
+        return StateSetClassification(
+            "unital_nonseparating", witness_pairs=pairs, state_count=count
+        )
+    return StateSetClassification("separating", state_count=count)
 
 
 # --- classical polytope membership ----------------------------------------

@@ -25,7 +25,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .logic import GreechieDiagram
 
@@ -192,6 +191,14 @@ def _polish(vm, orth_sets, orth_mask, offdiag, t2, complex_space, sweeps=60):
         if best_pen == 0.0:
             break
     return best, best_pen
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use, so that importing
+    this module for saturation or verification does not load scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def search_realization(

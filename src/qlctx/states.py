@@ -275,6 +275,8 @@ def read_qs(text: str) -> MultipartiteState:
             if tokens[0] != "sites" or len(tokens) != 2:
                 raise ValueError(f"line {lineno}: expected 'sites <n>'")
             sites = int(tokens[1])
+            if sites < 1:
+                raise ValueError(f"line {lineno}: sites must be >= 1, got {sites}")
             continue
         if dim is None:
             if tokens[0] != "dim" or len(tokens) != 2:
@@ -282,6 +284,13 @@ def read_qs(text: str) -> MultipartiteState:
             dim = int(tokens[1])
             if dim not in SITE_LABELS:
                 raise ValueError(f"line {lineno}: unsupported dim {dim}")
+            # dim >= 2, so capping the exponent keeps a huge 'sites' from
+            # building a huge integer without changing the verdict
+            if dim ** min(sites, 64) > MAX_TOTAL_DIM:
+                raise ValueError(
+                    f"line {lineno}: {sites} sites of dimension {dim} exceed "
+                    f"the total dimension limit {MAX_TOTAL_DIM}"
+                )
             coeffs = np.zeros(dim**sites, dtype=complex)
             continue
         if len(tokens) != 2 + sites:

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from qlctx.realizability import load_realization, verify_realization
 from qlctx.states import read_qs, catalog_state
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*args):
@@ -243,3 +246,61 @@ class TestUsageErrors:
     def test_unknown_subcommand(self):
         result = run("frobnicate")
         assert result.exit_code == 2
+
+
+def assert_usage_error(result, message):
+    # a usage error exits 2 through click; a traceback would leave the
+    # exception itself on the result with exit code 1
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+
+
+class TestBadInputExits2:
+    def test_realize_dim_1(self):
+        result = run("realize", corpus.data_path("fig1"), "--dim", "1")
+        assert_usage_error(result, "--dim")
+
+    def test_realize_restarts_0(self):
+        result = run("realize", corpus.data_path("fig1"), "--dim", "3",
+                     "--restarts", "0")
+        assert_usage_error(result, "--restarts")
+
+    def test_uniq_rotations_negative(self):
+        result = run("uniq", "check", corpus.data_path("psi2"),
+                     "--rotations", "-3")
+        assert_usage_error(result, "--rotations")
+
+    def test_qs_negative_sites(self, tmp_path):
+        qs = tmp_path / "neg.qs"
+        qs.write_text("# no sites\nsites -1\ndim 3\n1 0\n")
+        result = run("uniq", "check", qs)
+        assert_usage_error(result, "line 2: sites must be >= 1")
+
+    def test_qs_over_size_limit(self, tmp_path):
+        qs = tmp_path / "big.qs"
+        qs.write_text("sites 9\ndim 3\n1 0 0 0 0 0 0 0 0 0 0\n")
+        result = run("uniq", "check", qs)
+        assert_usage_error(result, "line 2: 9 sites of dimension 3 exceed "
+                                   "the total dimension limit 10000")
+
+
+def _heavy_modules_after(code):
+    """numpy and scipy, if loaded by running ``code`` in a new interpreter."""
+    probe = (code + "\nimport sys\nprint(' '.join(m for m in ('numpy', 'scipy')"
+             " if m in sys.modules), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    return proc.stderr.split()
+
+
+class TestLeanImports:
+    def test_cli_import_leaves_out_scipy(self):
+        assert "scipy" not in _heavy_modules_after("import qlctx.cli")
+
+    def test_enumerate_leaves_out_numpy_and_scipy(self):
+        code = ("from qlctx.cli import main\n"
+                f"main(['states', 'enumerate', {str(corpus.data_path('fig1'))!r}],"
+                " standalone_mode=False)")
+        assert _heavy_modules_after(code) == []

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qlctx.linalg import (
     SpectralForm,
@@ -158,6 +159,18 @@ def test_rotation_unitary_and_additive():
             ub = rotation_unitary(d, axis, b)
             uab = rotation_unitary(d, axis, a + b)
             assert np.max(np.abs(ua @ ub - uab)) < 1e-10
+
+
+def test_rotation_closed_form_matches_expm():
+    rng = np.random.default_rng(29)
+    for d in (2, 3):
+        sx, sy, sz = spin_matrices(d)
+        for _ in range(50):
+            axis = rng.standard_normal(3)
+            angle = rng.uniform(-4 * np.pi, 4 * np.pi)
+            n = axis / np.linalg.norm(axis)
+            want = expm(-1j * angle * (n[0] * sx + n[1] * sy + n[2] * sz))
+            assert np.max(np.abs(rotation_unitary(d, axis, angle) - want)) < 1e-12
 
 
 def test_rotation_rejects_bad_inputs():

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from qlctx import corpus
+from qlctx import _lp, corpus, logic
 from qlctx.logic import (
     ParseError,
     classify,
@@ -193,8 +194,54 @@ class TestClassify:
             if result.kind == "nonexistent":
                 assert two_valued_states(d) == []
 
+    def test_one_enumeration_gives_count_and_pairs(self, monkeypatch):
+        d = corpus.load("fig3")
+        expected = len(two_valued_states(d))
+        calls = []
+
+        def counted(diagram):
+            calls.append(diagram)
+            return two_valued_states(diagram)
+
+        monkeypatch.setattr(logic, "two_valued_states", counted)
+        result = classify(d)
+        assert len(calls) == 1
+        assert result.state_count == expected
+        assert list(result.witness_pairs) == nonseparating_pairs(d)
+
+
+def _shift_rhs(rows, cost):
+    rows[0][-1] += 1
+
+
+def _lower_objective(rows, cost):
+    cost[-1] -= 1
+
+
+def _zero_artificial_costs(rows, cost):
+    cost[len(cost) - 1 - len(rows):-1] = [Fraction(0)] * len(rows)
+    cost[-1] -= 1
+
 
 class TestHullMembership:
+    @pytest.mark.parametrize("corrupt, check", [
+        (_shift_rhs, "A·x = b"),
+        (_lower_objective, "y·b > 0"),
+        (_zero_artificial_costs, "y·A <= 0"),
+    ])
+    def test_corrupted_tableau_raises(self, monkeypatch, corrupt, check):
+        # x1 + x2 = 1 is feasible; each corruption of the simplex tableau
+        # yields a verdict whose exact certificate check must fail
+        pivot = _lp._pivot
+
+        def corrupted(rows, cost, basis, r, c):
+            pivot(rows, cost, basis, r, c)
+            corrupt(rows, cost)
+
+        monkeypatch.setattr(_lp, "_pivot", corrupted)
+        with pytest.raises(ArithmeticError, match=re.escape(check)):
+            _lp.feasibility([[Fraction(1), Fraction(1)]], [Fraction(1)])
+
     def test_single_context_barycenter(self):
         third = Fraction(1, 3)
         res = hull_membership(single_context(), {a: third for a in "ABC"})

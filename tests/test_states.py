@@ -203,6 +203,12 @@ class TestStateFiles:
         with pytest.raises(ValueError, match="line 3"):
             read_qs("sites 1\ndim 3\n1 0 9\n")
 
+    def test_size_limit_checked_from_header(self):
+        # 3**(10**9) amplitudes: refused on the header, before any allocation
+        with pytest.raises(ValueError, match="line 2: 1000000000 sites"):
+            read_qs("sites 1000000000\ndim 3\n1 0 0\n")
+        assert read_qs("sites 8\ndim 3\n1 0" + " 0" * 8 + "\n").sites == 8
+
 
 class TestStateValue:
     def test_zero_state_rejected(self):
