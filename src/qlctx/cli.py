@@ -51,10 +51,14 @@ def _load_state(path: str):
 
 
 def _write_output(text: str, outfile: str | None) -> None:
-    if outfile:
-        Path(outfile).write_text(text)
-    else:
+    """Write text to ``outfile``, or to stdout when no file is given."""
+    if not outfile:
         click.echo(text, nl=False)
+        return
+    try:
+        Path(outfile).write_text(text)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {outfile}: {exc}") from None
 
 
 def _frac(value: Fraction) -> str:
@@ -264,9 +268,7 @@ def realize(diagram_file, dim, seed, restarts, complex_space, outfile, as_json):
         click.echo("no witness found "
                    f"(best residual {result.penalty!r} over {restarts} restarts)")
     if result.success and outfile:
-        Path(outfile).write_text(
-            realizability.save_realization(result.realization)
-        )
+        _write_output(realizability.save_realization(result.realization), outfile)
     if not result.success:
         sys.exit(EXIT_NEGATIVE)
 
@@ -318,12 +320,12 @@ def render_cmd(diagram_file, style, outfile, as_json):
         text = logic.render(diagram, style)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
+    if not as_json:
+        _write_output(text, outfile)
+        return
     if outfile:
-        Path(outfile).write_text(text)
-    if as_json:
-        _echo_json({"style": style, "dot": text})
-    elif not outfile:
-        click.echo(text, nl=False)
+        _write_output(text, outfile)
+    _echo_json({"style": style, "dot": text})
 
 
 # --- uniqueness -------------------------------------------------------------
@@ -356,7 +358,9 @@ def _report_payload(report) -> dict:
               type=click.IntRange(min=0),
               help="Also check this many random identical local rotations.")
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--tol", default=1e-9, show_default=True, type=float)
+@click.option("--tol", default=1e-9, show_default=True,
+              type=click.FloatRange(min=0),
+              help="Amplitudes at or below this magnitude count as zero.")
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def uniq_check(state_file, rotations, seed, tol, as_json):
     """Check the outcome-uniqueness property of a state."""

@@ -1,5 +1,5 @@
-"""Dense complex linear algebra helpers used throughout the package:
-tensor products, dyads, spectral decompositions, kernels, and spin-rotation
+"""Small dense linear-algebra helpers shared by the package: dyads,
+hermiticity and unitarity defects, kernels, spin matrices and spin-rotation
 unitaries.
 
 Everything operates on plain numpy arrays and is pure: inputs are never
@@ -9,8 +9,6 @@ between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -18,15 +16,6 @@ DEFAULT_TOL = 1e-9
 
 def as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two vectors or of two matrices; dimensions multiply."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != b.ndim or a.ndim not in (1, 2):
-        raise ValueError("tensor expects two vectors or two matrices")
-    return np.kron(a, b)
 
 
 def dyad(v) -> np.ndarray:
@@ -43,59 +32,18 @@ def hermiticity_defect(m) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    return hermiticity_defect(m) <= tol
-
-
 def unitarity_defect(u) -> float:
     u = as_complex(u)
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralForm:
-    """(eigenvalue, projector) pairs of a self-adjoint matrix, eigenvalues ascending."""
-
-    pairs: tuple[tuple[float, np.ndarray], ...]
-
-    @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(e for e, _ in self.pairs)
-
-    @property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        return tuple(p for _, p in self.pairs)
-
-    def recompose(self) -> np.ndarray:
-        return sum(e * p for e, p in self.pairs)
-
-
-def spectral_decompose(h, tol: float = DEFAULT_TOL) -> SpectralForm:
-    """Spectral form of a self-adjoint matrix.
-
-    Eigenvalues closer than ``tol`` are treated as degenerate and merged
-    into a single projector, so the returned eigenvalues are mutually
-    distinct at scale ``tol`` and the projectors sum to the identity.
-    """
-    h = as_complex(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("spectral_decompose expects a square matrix")
-    if not is_hermitian(h, tol):
-        raise ValueError(f"matrix is not self-adjoint within {tol}")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    pairs = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] >= tol:
-            block = v[:, start:i]
-            pairs.append((float(np.mean(w[start:i])), block @ block.conj().T))
-            start = i
-    return SpectralForm(tuple(pairs))
-
-
 def kernel(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of {v : ‖Mv‖ <= tol·‖M‖·‖v‖}; empty for a trivial kernel."""
-    m = as_complex(m)
+    """Orthonormal basis of {v : ‖Mv‖ <= tol·‖M‖·‖v‖}; empty for a trivial kernel.
+
+    A real matrix is decomposed in real arithmetic and gives real vectors.
+    """
+    m = np.asarray(m)
+    m = m.astype(complex if np.iscomplexobj(m) else float)
     if m.ndim != 2:
         raise ValueError("kernel expects a matrix")
     _, sing, vh = np.linalg.svd(m)

@@ -6,6 +6,11 @@ Coefficient tensors are stored flattened in site-major order: the basis ket
 |k1 k2 ... kn> has flat index sum(ki * d**(n-1-i)).  Single-site levels are
 labelled by descending magnetic quantum number, so index 0 is '+' and the
 last index is '-' ('+', '0', '-' for d = 3; '+', '-' for d = 2).
+
+Singlets and local rotations work on vectors of length d**n: singlets
+are the kernel of total S₊ on the M = 0 weight sector, and local unitaries
+are contracted one tensor axis at a time.  Only ``spin_total_operators``
+builds dense (d**n)² matrices.
 """
 
 from __future__ import annotations
@@ -165,9 +170,9 @@ def _site_operator(single: np.ndarray, site: int, sites: int) -> np.ndarray:
 
 
 def spin_total_operators(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Total-spin components S_tot^x, S_tot^y, S_tot^z on n sites of dimension d."""
-    if d**n > MAX_TOTAL_DIM:
-        raise ValueError(f"total dimension {d ** n} too large (limit {MAX_TOTAL_DIM})")
+    """Dense total-spin components S_tot^x, S_tot^y, S_tot^z on n sites of
+    dimension d, each a (d**n)² matrix."""
+    _check_total_dim(d, n)
     totals = []
     for single in spin_matrices(d):
         tot = np.zeros((d**n, d**n), dtype=complex)
@@ -177,16 +182,61 @@ def spin_total_operators(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return tuple(totals)
 
 
+def _check_total_dim(d: int, n: int) -> None:
+    if d**n > MAX_TOTAL_DIM:
+        raise ValueError(f"total dimension {d ** n} too large (limit {MAX_TOTAL_DIM})")
+
+
+def _raising_sector(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Total S₊ restricted to the M = 0 weight sector, as a real matrix from
+    the M = 0 kets to the M = 1 kets, plus the flat indices of the M = 0 kets.
+
+    Level k of a site has m = s - k, so a ket has M = 0 when its digits sum
+    to n·(d-1)/2, and S₊ on one site lowers that site's digit by one.
+    """
+    shape = (d,) * n
+    digits = np.indices(shape).reshape(n, -1).T  # (d**n, n), site-major rows
+    digit_sum = digits.sum(axis=1)
+    target = n * (d - 1) // 2
+    zero = np.flatnonzero(digit_sum == target)
+    one = np.flatnonzero(digit_sum == target - 1)
+    row_of = np.full(d**n, -1)
+    row_of[one] = np.arange(one.size)
+    # S₊|k> = c[k] |k-1> on one site, read off the single-site S₊ = Sx + i·Sy
+    sx, sy, _ = spin_matrices(d)
+    c = np.concatenate(([0.0], np.diag((sx + 1j * sy).real, 1)))
+    strides = d ** np.arange(n - 1, -1, -1)
+    sector = digits[zero]  # (N0, n)
+    cols, sites = np.nonzero(sector > 0)
+    rows = row_of[zero[cols] - strides[sites]]
+    raise_op = np.zeros((one.size, zero.size))
+    raise_op[rows, cols] = c[sector[cols, sites]]
+    return raise_op, zero
+
+
 def singlet_subspace(d: int, n: int, tol: float = 1e-9) -> list[MultipartiteState]:
     """Orthonormal basis of the total-spin-zero subspace of n spin-(d-1)/2 quanta.
 
-    Computed as the kernel of the quadratic Casimir sum of squared
-    total-spin components; the basis size is the multiplicity of total
-    spin zero in the n-fold product.
+    A vector with S_z ψ = 0 and S₊ ψ = 0 has S² ψ = (S₋S₊ + S_z² + S_z) ψ = 0,
+    so the singlets are the kernel of total S₊ restricted to the M = 0 weight
+    sector, embedded back into the full d**n vector.  The basis size is the
+    multiplicity of total spin zero in the n-fold product; the basis itself
+    is one orthonormal choice among many.  No (d**n)² matrix is built.
     """
-    sx, sy, sz = spin_total_operators(d, n)
-    casimir = sx @ sx + sy @ sy + sz @ sz
-    return [MultipartiteState(n, d, v) for v in kernel(casimir, tol)]
+    if d not in SITE_LABELS:
+        raise ValueError(f"unsupported site dimension {d}")
+    if n < 1:
+        raise ValueError("state needs at least one site")
+    _check_total_dim(d, n)
+    if n * (d - 1) % 2:
+        return []  # half-integer total M: the M = 0 sector is empty
+    raise_op, zero = _raising_sector(d, n)
+    basis = []
+    for v in kernel(raise_op, tol):
+        full = np.zeros(d**n, dtype=complex)
+        full[zero] = v
+        basis.append(MultipartiteState(n, d, full))
+    return basis
 
 
 def apply_identical_local(psi: MultipartiteState, u) -> MultipartiteState:
@@ -195,7 +245,12 @@ def apply_identical_local(psi: MultipartiteState, u) -> MultipartiteState:
 
 
 def apply_local(psi: MultipartiteState, unitaries) -> MultipartiteState:
-    """Apply one single-site unitary per site (advanced variant)."""
+    """Apply one single-site unitary per site, (U_1 ⊗ ... ⊗ U_n) psi.
+
+    Each unitary is contracted with its own axis of the coefficient tensor,
+    O(n·d**(n+1)) time and O(d**n) memory; the Kronecker product is never
+    formed.
+    """
     if len(unitaries) != psi.sites:
         raise ValueError("need exactly one unitary per site")
     mats = []
@@ -206,8 +261,10 @@ def apply_local(psi: MultipartiteState, unitaries) -> MultipartiteState:
         if unitarity_defect(u) > 1e-9:
             raise ValueError("matrix is not unitary")
         mats.append(u)
-    full = reduce(np.kron, mats)
-    return MultipartiteState(psi.sites, psi.site_dim, full @ psi.coeffs)
+    t = psi.tensor_view()
+    for site, u in enumerate(mats):
+        t = np.moveaxis(np.tensordot(u, t, axes=(1, site)), 0, site)
+    return MultipartiteState(psi.sites, psi.site_dim, t)
 
 
 @dataclass(frozen=True, eq=False)

@@ -56,15 +56,21 @@ def filter_outcome(
     return MultipartiteState(psi.sites, psi.site_dim, back.reshape(-1))
 
 
-def _supports(psi, site, level, tol):
-    """For site=level, the set of possible outcomes of every other site."""
-    slab = np.moveaxis(psi.tensor_view(), site, 0)[level]
-    others = [t for t in range(psi.sites) if t != site]
+def _amplitude_mask(psi: MultipartiteState, tol: float) -> np.ndarray:
+    """Boolean coefficient tensor: True where |amplitude| > tol."""
+    return np.abs(psi.tensor_view()) > tol
+
+
+def _supports(mask, site, level, labels):
+    """For site=level, the set of possible outcomes of every other site,
+    read off the amplitude mask."""
+    slab = np.moveaxis(mask, site, 0)[level]
+    others = [t for t in range(mask.ndim) if t != site]
     out = {}
     for axis, t in enumerate(others):
-        rest = tuple(ax for ax in range(psi.sites - 1) if ax != axis)
-        amax = np.max(np.abs(slab), axis=rest) if rest else np.abs(slab)
-        out[t] = tuple(psi.labels[j] for j in np.flatnonzero(amax > tol))
+        rest = tuple(ax for ax in range(slab.ndim) if ax != axis)
+        possible = np.any(slab, axis=rest) if rest else slab
+        out[t] = tuple(labels[j] for j in np.flatnonzero(possible))
     return out
 
 
@@ -90,21 +96,22 @@ class UniquenessReport:
 
 def check_uniqueness(psi: MultipartiteState, tol: float = 1e-9) -> UniquenessReport:
     """Decide the uniqueness property of ``psi`` in its preparation basis."""
+    mask = _amplitude_mask(psi, tol)
     verdicts = []
     possibilities: dict[tuple[int, str], dict[int, tuple[str, ...]]] = {}
     for s in range(psi.sites):
         site_ok = True
+        by_level = np.moveaxis(mask, s, 0)
         for level, label in enumerate(psi.labels):
-            slab = np.moveaxis(psi.tensor_view(), s, 0)[level]
-            if np.max(np.abs(slab)) <= tol:
+            if not by_level[level].any():
                 continue
-            sups = _supports(psi, s, level, tol)
+            sups = _supports(mask, s, level, psi.labels)
             possibilities[(s, label)] = sups
             if any(len(v) != 1 for v in sups.values()):
                 site_ok = False
         verdicts.append(site_ok)
     return UniquenessReport(
-        tuple(verdicts), possibilities, term_count(psi, tol)
+        tuple(verdicts), possibilities, int(np.count_nonzero(mask))
     )
 
 
@@ -165,7 +172,7 @@ def counterfactual_complete(
     """
     filtered = filter_outcome(psi, site, outcome, tol)  # raises on null filter
     level = psi.label_index(outcome)
-    sups = _supports(filtered, site, level, tol)
+    sups = _supports(_amplitude_mask(filtered, tol), site, level, psi.labels)
     determined = {t: v[0] for t, v in sups.items() if len(v) == 1}
     ambiguous = {t: v for t, v in sups.items() if len(v) != 1}
     return CounterfactualOutcome(site, psi.labels[level], determined, ambiguous)

@@ -284,6 +284,32 @@ class TestBadInputExits2:
         assert_usage_error(result, "line 2: 9 sites of dimension 3 exceed "
                                    "the total dimension limit 10000")
 
+    def test_uniq_negative_tol(self):
+        # a negative tolerance would count every amplitude as nonzero and
+        # turn psi2's positive verdict into a negative one
+        result = run("uniq", "check", corpus.data_path("psi2"), "--tol", "-1")
+        assert_usage_error(result, "--tol")
+
+    def test_singlet_negative_sites(self):
+        result = run("singlet", "--dim", "3", "--sites", "-1")
+        assert_usage_error(result, "at least one site")
+
+    def test_realize_unwritable_output(self, tmp_path):
+        out = tmp_path / "missing" / "fig1.real"
+        result = run("realize", corpus.data_path("fig1"), "--dim", "3",
+                     "--restarts", "3", "-o", out)
+        assert_usage_error(result, f"cannot write {out}")
+
+    def test_render_unwritable_output(self, tmp_path):
+        out = tmp_path / "missing" / "fig1.dot"
+        result = run("render", corpus.data_path("fig1"), "-o", out)
+        assert_usage_error(result, f"cannot write {out}")
+
+    def test_catalog_unwritable_output(self, tmp_path):
+        out = tmp_path / "missing" / "psi2.qs"
+        result = run("catalog", "psi2", "-o", out)
+        assert_usage_error(result, f"cannot write {out}")
+
 
 def _heavy_modules_after(code):
     """numpy and scipy, if loaded by running ``code`` in a new interpreter."""

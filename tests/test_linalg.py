@@ -3,42 +3,13 @@ import pytest
 from scipy.linalg import expm
 
 from qlctx.linalg import (
-    SpectralForm,
     dyad,
     hermiticity_defect,
     kernel,
     rotation_unitary,
-    spectral_decompose,
     spin_matrices,
-    tensor,
     unitarity_defect,
 )
-
-
-def test_tensor_vector_dims_multiply():
-    v = np.ones(3)
-    assert tensor(v, v).shape == (9,)
-
-
-def test_tensor_identity():
-    assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_diagonal_hand_expansion():
-    # kron(diag(1,2), diag(1,3)) expanded by hand
-    out = tensor(np.diag([1, 2]), np.diag([1, 3]))
-    assert np.array_equal(out, np.diag([1, 3, 2, 6]))
-
-
-def test_tensor_associative_on_integers():
-    rng = np.random.default_rng(3)
-    a, b, c = (rng.integers(-4, 5, size=(2, 2)) for _ in range(3))
-    assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
-
-
-def test_tensor_rejects_mixed_ranks():
-    with pytest.raises(ValueError):
-        tensor(np.ones(2), np.eye(2))
 
 
 def test_dyad_axis_vectors():
@@ -69,42 +40,6 @@ def test_dyad_zero_vector():
         dyad([0, 0, 0])
 
 
-def test_spectral_diagonal():
-    sf = spectral_decompose(np.diag([1.0, 2.0, 3.0]))
-    assert sf.eigenvalues == (1.0, 2.0, 3.0)
-    for i, p in enumerate(sf.projectors):
-        assert np.allclose(p, np.diag(np.eye(3)[i]))
-
-
-def test_spectral_identity_fully_degenerate():
-    sf = spectral_decompose(np.eye(4))
-    assert len(sf.pairs) == 1
-    assert sf.eigenvalues == (1.0,)
-    assert np.allclose(sf.projectors[0], np.eye(4))
-
-
-def test_spectral_rejects_nonhermitian():
-    with pytest.raises(ValueError):
-        spectral_decompose(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_spectral_invariants_random():
-    rng = np.random.default_rng(5)
-    tol = 1e-9
-    for _ in range(20):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = a + a.conj().T
-        sf = spectral_decompose(h, tol)
-        assert np.max(np.abs(sf.recompose() - h)) < 10 * tol
-        total = sum(sf.projectors)
-        assert np.max(np.abs(total - np.eye(4))) < tol
-        for i, p in enumerate(sf.projectors):
-            for j, q in enumerate(sf.projectors):
-                want = p if i == j else 0
-                assert np.max(np.abs(p @ q - want)) < tol
-        assert list(sf.eigenvalues) == sorted(sf.eigenvalues)
-
-
 def test_kernel_trivial_cases():
     assert kernel(np.eye(3)) == []
     zero_kernel = kernel(np.zeros((3, 3)))
@@ -112,6 +47,13 @@ def test_kernel_trivial_cases():
     axis = kernel(np.diag([0.0, 1.0, 2.0]))
     assert len(axis) == 1
     assert abs(abs(axis[0][0]) - 1.0) < 1e-12
+
+
+def test_kernel_real_matrix_gives_real_vectors():
+    vecs = kernel(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    assert len(vecs) == 1
+    assert vecs[0].dtype == np.float64
+    assert np.allclose(np.abs(vecs[0]), [1 / np.sqrt(2), 1 / np.sqrt(2), 0.0])
 
 
 def test_kernel_orthonormal():
@@ -178,11 +120,3 @@ def test_rotation_rejects_bad_inputs():
         rotation_unitary(4, [0, 0, 1], 0.1)
     with pytest.raises(ValueError):
         rotation_unitary(3, [0, 0, 0], 0.1)
-
-
-def test_spectral_form_recompose_type():
-    sf = spectral_decompose(np.diag([2.0, 2.0 + 5e-10, 7.0]), tol=1e-9)
-    # the two near-degenerate eigenvalues merge into one rank-2 projector
-    assert len(sf.pairs) == 2
-    assert np.isclose(np.trace(sf.projectors[0]).real, 2.0)
-    assert isinstance(sf, SpectralForm)

@@ -1,7 +1,11 @@
+import tracemalloc
+from functools import reduce
+from math import comb
+
 import numpy as np
 import pytest
 
-from qlctx.linalg import rotation_unitary
+from qlctx.linalg import kernel, rotation_unitary
 from qlctx.states import (
     MultipartiteState,
     apply_identical_local,
@@ -14,6 +18,38 @@ from qlctx.states import (
     spin_total_operators,
     write_qs,
 )
+
+
+def dense_singlet_kernel(d, n, tol=1e-9):
+    """Oracle: kernel of the dense (d**n)² Casimir S_x² + S_y² + S_z²."""
+    sx, sy, sz = spin_total_operators(d, n)
+    return kernel(sx @ sx + sy @ sy + sz @ sz, tol)
+
+
+def kron_all(mats):
+    """Oracle: the dense Kronecker product U_1 ⊗ ... ⊗ U_n."""
+    return reduce(np.kron, mats)
+
+
+def projector(vectors, size):
+    out = np.zeros((size, size), dtype=complex)
+    for v in vectors:
+        out += np.outer(v, np.conj(v))
+    return out
+
+
+def random_unitary(d, rng):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def amplitude(psi, word):
@@ -109,6 +145,43 @@ class TestSingletSubspace:
         with pytest.raises(ValueError):
             singlet_subspace(3, 9)
 
+    @pytest.mark.parametrize(
+        "d,n", [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 7)]
+    )
+    def test_projector_matches_dense_casimir_kernel(self, d, n):
+        fast = singlet_subspace(d, n)
+        dense = dense_singlet_kernel(d, n)
+        assert len(fast) == len(dense)
+        want = projector(dense, d**n)
+        got = projector([psi.coeffs for psi in fast], d**n)
+        assert np.max(np.abs(got - want)) < 1e-9
+
+    @pytest.mark.parametrize("d,n", [(3, 7), (2, 10)])
+    def test_basis_orthonormal(self, d, n):
+        vecs = np.array([psi.coeffs for psi in singlet_subspace(d, n)])
+        assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(len(vecs)))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "d,n,expected",
+        [(3, 7, 36),                             # Riordan number R(7)
+         (2, 10, comb(10, 5) - comb(10, 6))],   # 42
+    )
+    def test_counts(self, d, n, expected):
+        assert len(singlet_subspace(d, n)) == expected
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 3), (2, 5), (2, 7), (2, 13)])
+    def test_no_singlets(self, d, n):
+        assert singlet_subspace(d, n) == []
+
+    @pytest.mark.parametrize("d,n", [(4, 2), (3, 0), (2, -1)])
+    def test_rejects_bad_shape(self, d, n):
+        with pytest.raises(ValueError):
+            singlet_subspace(d, n)
+
+    def test_spin_one_seven_sites_stays_small(self):
+        # the dense Casimir of 3**7 levels is a 76 MB complex matrix
+        assert peak_bytes(lambda: singlet_subspace(3, 7)) < 10 * 2**20
+
 
 class TestLocalRotations:
     def test_identity_is_identity(self):
@@ -149,6 +222,30 @@ class TestLocalRotations:
         )
         mixed = apply_local(psi, [u, np.eye(3)])
         assert mixed.overlap(psi) < 1 - 1e-6
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_kronecker_product(self, d, n):
+        # a different unitary on every site pins the site order
+        rng = np.random.default_rng(100 * d + n)
+        c = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+        psi = MultipartiteState(n, d, c)
+        mats = [random_unitary(d, rng) for _ in range(n)]
+        want = kron_all(mats) @ psi.coeffs
+        assert np.max(np.abs(apply_local(psi, mats).coeffs - want)) < 1e-12
+
+    def test_rejects_wrong_shape_and_count(self):
+        psi = catalog_state("psi2")
+        with pytest.raises(ValueError, match="wrong shape"):
+            apply_local(psi, [np.eye(3), np.eye(2)])
+        with pytest.raises(ValueError, match="one unitary per site"):
+            apply_local(psi, [np.eye(3)])
+
+    def test_twelve_site_rotation_stays_small(self):
+        # the Kronecker product of 12 spin-1/2 sites is a 256 MB matrix
+        psi = from_terms(12, 2, [(1, "+" * 12), (1, "-" * 12)])
+        u = rotation_unitary(2, [1, 2, 3], 0.7)
+        assert peak_bytes(lambda: apply_identical_local(psi, u)) < 10 * 2**20
 
 
 class TestFormInvariance:

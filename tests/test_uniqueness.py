@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from qlctx.states import catalog_state, from_terms
+from qlctx.states import (
+    MultipartiteState,
+    apply_identical_local,
+    catalog_state,
+    from_terms,
+)
 from qlctx.uniqueness import (
     NullFilterError,
     check_uniqueness,
@@ -150,3 +155,76 @@ class TestCounterfactual:
                         assert out.determined[t] == v[0]
                     else:
                         assert out.ambiguous[t] == v
+
+
+def reference_uniqueness(psi, tol=1e-9):
+    """Slab-by-slab uniqueness check that takes |amplitude| afresh for every
+    site, level and axis; the oracle for the mask-based ``check_uniqueness``.
+    Returns (site verdicts, possibility sets, term count)."""
+    tens = psi.tensor_view()
+    verdicts, possibilities = [], {}
+    for s in range(psi.sites):
+        site_ok = True
+        for level, label in enumerate(psi.labels):
+            slab = np.moveaxis(tens, s, 0)[level]
+            if np.max(np.abs(slab)) <= tol:
+                continue
+            sups = {}
+            others = [t for t in range(psi.sites) if t != s]
+            for axis, t in enumerate(others):
+                rest = tuple(ax for ax in range(psi.sites - 1) if ax != axis)
+                amax = np.max(np.abs(slab), axis=rest) if rest else np.abs(slab)
+                sups[t] = tuple(psi.labels[j] for j in np.flatnonzero(amax > tol))
+            possibilities[(s, label)] = sups
+            site_ok = site_ok and all(len(v) == 1 for v in sups.values())
+        verdicts.append(site_ok)
+    return tuple(verdicts), possibilities, int(np.sum(np.abs(psi.coeffs) > tol))
+
+
+def _sparse_states():
+    rng = np.random.default_rng(41)
+    for d, n in [(2, 1), (3, 1), (2, 3), (3, 3), (2, 5), (3, 4), (2, 8), (3, 5)]:
+        for terms in (1, 2, 3, d, 2 * d, d**n):
+            c = np.zeros(d**n, dtype=complex)
+            support = rng.choice(d**n, size=min(terms, d**n), replace=False)
+            c[support] = rng.standard_normal(support.size) + 1j
+            # amplitudes straddling the tolerance exercise the comparison
+            c[rng.integers(d**n)] += 1e-9 * rng.choice([0.5, 1.0, 2.0])
+            yield MultipartiteState(n, d, c)
+
+
+class TestAgainstReference:
+    def _agree(self, psi, tol=1e-9):
+        report = check_uniqueness(psi, tol)
+        verdicts, possibilities, count = reference_uniqueness(psi, tol)
+        assert report.site_verdicts == verdicts
+        assert report.possibilities == possibilities
+        assert list(report.possibilities) == list(possibilities)
+        assert report.term_count == count
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_catalog(self, name):
+        self._agree(catalog_state(name))
+
+    def test_sparse_random_states(self):
+        for psi in _sparse_states():
+            for tol in (1e-9, 1e-3, 0.0):
+                self._agree(psi, tol)
+
+    def test_rotated_states(self):
+        for name in CATALOG:
+            for entry in check_uniqueness_rotated(catalog_state(name), 3, seed=5):
+                rotated = apply_identical_local(catalog_state(name),
+                                                entry.rotation.unitary)
+                self._agree(rotated)
+
+    def test_counterfactual_matches_reference_possibilities(self):
+        # completion reads the renormalized filtered state, so the oracle
+        # runs on that state too
+        for psi in _sparse_states():
+            for site, outcome in reference_uniqueness(psi)[1]:
+                filtered = filter_outcome(psi, site, outcome)
+                want = reference_uniqueness(filtered)[1][(site, outcome)]
+                done = counterfactual_complete(psi, site, outcome)
+                forced = {t: (v,) for t, v in done.determined.items()}
+                assert {**forced, **done.ambiguous} == want
