@@ -172,6 +172,7 @@ def _parse_assignment(text: str) -> dict:
 @click.option("--p", "assignment", required=True,
               help="Atom probabilities, e.g. 'A=1,B=1/2'; unlisted atoms are 0.")
 @click.option("--tol", default=1e-9, show_default=True,
+              type=click.FloatRange(min=0),
               help="Feasibility tolerance.")
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def hull(diagram_file, assignment, tol, as_json):
@@ -367,12 +368,15 @@ def uniq_check(state_file, rotations, seed, tol, as_json):
     from . import uniqueness
 
     psi = _load_state(state_file)
-    base = uniqueness.check_uniqueness(psi, tol=tol)
-    rotated = []
-    if rotations > 0:
-        rotated = uniqueness.check_uniqueness_rotated(
-            psi, rotations, seed=seed, tol=tol
-        )
+    try:
+        base = uniqueness.check_uniqueness(psi, tol=tol)
+        rotated = []
+        if rotations > 0:
+            rotated = uniqueness.check_uniqueness_rotated(
+                psi, rotations, seed=seed, tol=tol
+            )
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     unique = base.overall and all(r.report.overall for r in rotated)
     if as_json:
         payload = _report_payload(base)

@@ -20,6 +20,7 @@ contexts denotes the same observable.  All contexts must have the same size
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -172,8 +173,11 @@ def two_valued_states(diagram: GreechieDiagram) -> list[TwoValuedState]:
                 assign[i] = None
 
     backtrack(0)
-    found = sorted(set(found), key=lambda s: state_vector(diagram, s))
-    return found
+    # the nested function refers to itself through its closure; breaking
+    # that cycle frees the closure (and the states it holds) on return
+    # instead of at the next cyclic garbage collection
+    del backtrack
+    return sorted(set(found), key=lambda s: state_vector(diagram, s))
 
 
 def nonseparating_pairs(diagram: GreechieDiagram) -> list[tuple[str, str]]:
@@ -186,13 +190,31 @@ def nonseparating_pairs(diagram: GreechieDiagram) -> list[tuple[str, str]]:
 
 
 def _pairs_in(diagram: GreechieDiagram, states) -> list[tuple[str, str]]:
-    if not states:
-        return []
-    pairs = []
-    for x, y in itertools.combinations(diagram.atoms, 2):
-        if all((x in s) == (y in s) for s in states):
-            pairs.append((x, y))
-    return pairs
+    """Atom pairs with equal values in every state, in the order of
+    ``itertools.combinations(diagram.atoms, 2)``.
+
+    Atoms are grouped by their state-incidence signature through partition
+    refinement: each state splits every group into the atoms it holds and
+    the rest, and groups of one atom are dropped.  That is O(n·|S|) instead
+    of O(n²·|S|), and it stops as soon as no group is left.
+    """
+    groups = [list(diagram.atoms)] if states else []
+    # enumerated states come sorted, so neighbouring ones differ in few
+    # atoms; visiting every 64th state first splits the groups early
+    spread = itertools.chain.from_iterable(states[k::64] for k in range(64))
+    for state in spread:
+        if not groups:
+            return []
+        groups = [
+            part
+            for group in groups
+            for part in ([a for a in group if a in state],
+                         [a for a in group if a not in state])
+            if len(part) > 1
+        ]
+    position = {a: i for i, a in enumerate(diagram.atoms)}
+    pairs = [pair for group in groups for pair in itertools.combinations(group, 2)]
+    return sorted(pairs, key=lambda pair: (position[pair[0]], position[pair[1]]))
 
 
 @dataclass(frozen=True)
@@ -256,6 +278,8 @@ def _to_fraction(x) -> Fraction:
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"{x!r} is not a finite number")
         return Fraction(x)  # exact binary value of the float
     if isinstance(x, str):
         return Fraction(x)
@@ -287,14 +311,12 @@ def hull_membership(diagram: GreechieDiagram, p, tol=1e-9) -> HullMembership:
 
     m = len(diagram.atoms)
     k = len(states)
-    vertex = [
-        [Fraction(1) if diagram.atoms[i] in s else Fraction(0) for s in states]
-        for i in range(m)
-    ]
-    zero = Fraction(0)
+    # the constraint matrix is integer (0, ±1); only the right-hand side is
+    # fractional, which is what the integer tableau of feasibility expects
+    vertex = [[1 if a in s else 0 for s in states] for a in diagram.atoms]
 
     # exact reproduction first: clean certificates whenever p is hit exactly
-    rows = [vertex[i] + [] for i in range(m)] + [[Fraction(1)] * k]
+    rows = vertex + [[1] * k]
     rhs = list(target) + [Fraction(1)]
     status, x, _ = feasibility(rows, rhs)
     if status == "feasible":
@@ -304,17 +326,17 @@ def hull_membership(diagram: GreechieDiagram, p, tol=1e-9) -> HullMembership:
     # columns: state weights (k) | band offsets w (m) | band slacks r (m)
     rows, rhs = [], []
     for i in range(m):  # V·λ - w_i = p_i - tol
-        row = vertex[i] + [zero] * (2 * m)
-        row[k + i] = Fraction(-1)
+        row = vertex[i] + [0] * (2 * m)
+        row[k + i] = -1
         rows.append(row)
         rhs.append(target[i] - tol)
     for i in range(m):  # w_i + r_i = 2 tol
-        row = [zero] * (k + 2 * m)
-        row[k + i] = Fraction(1)
-        row[k + m + i] = Fraction(1)
+        row = [0] * (k + 2 * m)
+        row[k + i] = 1
+        row[k + m + i] = 1
         rows.append(row)
         rhs.append(2 * tol)
-    rows.append([Fraction(1)] * k + [zero] * (2 * m))  # sum of weights = 1
+    rows.append([1] * k + [0] * (2 * m))  # sum of weights = 1
     rhs.append(Fraction(1))
 
     status, x, farkas = feasibility(rows, rhs)

@@ -95,8 +95,16 @@ class UniquenessReport:
 
 
 def check_uniqueness(psi: MultipartiteState, tol: float = 1e-9) -> UniquenessReport:
-    """Decide the uniqueness property of ``psi`` in its preparation basis."""
+    """Decide the uniqueness property of ``psi`` in its preparation basis.
+
+    Raises ValueError when ``tol`` leaves no amplitude above it: an empty
+    support has no outcomes, so no verdict rests on it.
+    """
     mask = _amplitude_mask(psi, tol)
+    if not mask.any():
+        raise ValueError(
+            f"tolerance {tol} leaves no nonzero amplitude in the state"
+        )
     verdicts = []
     possibilities: dict[tuple[int, str], dict[int, tuple[str, ...]]] = {}
     for s in range(psi.sites):

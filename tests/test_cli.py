@@ -290,6 +290,30 @@ class TestBadInputExits2:
         result = run("uniq", "check", corpus.data_path("psi2"), "--tol", "-1")
         assert_usage_error(result, "--tol")
 
+    def test_hull_negative_tol(self):
+        result = run("hull", corpus.data_path("fig1"), "--p", "A=1",
+                     "--tol", "-1")
+        assert_usage_error(result, "--tol")
+
+    def test_hull_non_finite_tol(self):
+        # inf and nan pass a min=0 range check; the hull refuses them
+        for tol in ("inf", "nan"):
+            result = run("hull", corpus.data_path("fig1"), "--p", "A=1",
+                         "--tol", tol)
+            assert_usage_error(result, "not a finite number")
+
+    def test_uniq_tol_leaves_no_amplitude(self):
+        # psi3 is not unique; a tolerance above every amplitude must not
+        # turn that into "unique: true" with no terms
+        for name in ("psi3", "psi4_1"):
+            for tol in ("5", "inf"):
+                result = run("uniq", "check", corpus.data_path(name),
+                             "--tol", tol)
+                assert_usage_error(result, "no nonzero amplitude")
+        result = run("uniq", "check", corpus.data_path("psi2"),
+                     "--rotations", "2", "--tol", "5")
+        assert_usage_error(result, "no nonzero amplitude")
+
     def test_singlet_negative_sites(self):
         result = run("singlet", "--dim", "3", "--sites", "-1")
         assert_usage_error(result, "at least one site")

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import re
 from fractions import Fraction
@@ -123,6 +124,18 @@ class TestTwoValuedStates:
     def test_no_states_on_odd_cycle(self):
         assert two_valued_states(odd_cycle()) == []
 
+    def test_enumeration_leaves_no_garbage_cycle(self):
+        # a cycle would keep the states alive until the next cyclic
+        # collection, which raises peak memory between collections
+        d = corpus.load("fig3")
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(two_valued_states(d)) == 82
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("name", ["fig1", "fig2a", "fig2b"])
@@ -210,6 +223,83 @@ class TestClassify:
         assert list(result.witness_pairs) == nonseparating_pairs(d)
 
 
+def reference_feasibility(a, b):
+    """The dense Fraction-tableau simplex that the integer tableau replaced:
+    phase 1, Bland's entering rule, smallest ratio leaving, ties broken on
+    the basic variable.  The oracle for ``_lp.feasibility``; returns the
+    same (status, x, y) triple, without the certificate checks."""
+    a = [[Fraction(v) for v in row] for row in a]
+    b = [Fraction(v) for v in b]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    sign = [-1 if b[i] < 0 else 1 for i in range(m)]
+    rows = [
+        [sign[i] * a[i][j] for j in range(n)]
+        + [Fraction(int(k == i)) for k in range(m)]
+        + [sign[i] * b[i]]
+        for i in range(m)
+    ]
+    basis = [n + i for i in range(m)]
+    cost = [Fraction(0)] * (n + m + 1)
+    for j in range(n):
+        cost[j] = -sum(rows[i][j] for i in range(m))
+    cost[-1] = -sum(rows[i][-1] for i in range(m))
+    while True:
+        enter = next((j for j in range(n + m) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = min((i for i in range(m) if rows[i][enter] > 0),
+                    key=lambda i: (rows[i][-1] / rows[i][enter], basis[i]))
+        piv = rows[leave][enter]
+        rows[leave] = [v / piv for v in rows[leave]]
+        for i in range(m):
+            f = rows[i][enter]
+            if i != leave and f != 0:
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[leave])]
+        f = cost[enter]
+        cost = [v - f * w for v, w in zip(cost, rows[leave])]
+        basis[leave] = enter
+    if -cost[-1] > 0:
+        return "infeasible", None, [sign[i] * (1 - cost[n + i])
+                                    for i in range(m)]
+    x = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = rows[i][-1]
+    return "feasible", x, None
+
+
+def reference_pairs(diagram, states):
+    """The pairwise nonseparation test that atom grouping replaced."""
+    if not states:
+        return []
+    return [
+        (x, y) for x, y in itertools.combinations(diagram.atoms, 2)
+        if all((x in s) == (y in s) for s in states)
+    ]
+
+
+class TestPairsBySignature:
+    @pytest.mark.parametrize("name", ["fig1", "fig2a", "fig2b", "fig3"])
+    def test_corpus(self, name):
+        d = corpus.load(name)
+        states = two_valued_states(d)
+        assert nonseparating_pairs(d) == reference_pairs(d, states)
+
+    def test_random_diagrams_and_state_subsets(self):
+        # subsets of the states give atoms that are never true and larger
+        # groups of equal signatures than complete state sets do
+        rng = np.random.default_rng(17)
+        for seed in range(40):
+            d = corpus.random_diagram(np.random.default_rng(seed))
+            states = two_valued_states(d)
+            for k in sorted({0, 1, 2, len(states) // 2, len(states)}):
+                subset = [states[i] for i in sorted(
+                    rng.choice(len(states), size=min(k, len(states)),
+                               replace=False))]
+                assert logic._pairs_in(d, subset) == reference_pairs(d, subset)
+
+
 def _shift_rhs(rows, cost):
     rows[0][-1] += 1
 
@@ -219,8 +309,95 @@ def _lower_objective(rows, cost):
 
 
 def _zero_artificial_costs(rows, cost):
-    cost[len(cost) - 1 - len(rows):-1] = [Fraction(0)] * len(rows)
+    cost[len(cost) - 1 - len(rows):-1] = [0] * len(rows)
     cost[-1] -= 1
+
+
+def _mixture_point(diagram, states, rng):
+    """Atom probabilities of a seeded rational mixture of states."""
+    raw = [int(w) for w in rng.integers(0, 10, size=len(states))]
+    raw[int(rng.integers(len(states)))] += 1
+    p = {a: Fraction(0) for a in diagram.atoms}
+    for w, s in zip(raw, states):
+        for a in s:
+            p[a] += Fraction(w, sum(raw))
+    return p
+
+
+def _shifted_point(diagram, p):
+    """p with one atom of the first context moved by 1/7: that context no
+    longer sums to 1, so the point lies outside the polytope."""
+    q = dict(p)
+    atom = diagram.contexts[0][0]
+    step = Fraction(1, 7)
+    q[atom] = q[atom] + step if q[atom] + step <= 1 else q[atom] - step
+    return q
+
+
+class TestIntegerTableau:
+    def _hull_lps(self, monkeypatch, diagram, p, tol):
+        """(A, b, result) of every LP that hull_membership solves."""
+        seen = []
+
+        def recorded(a, b):
+            result = _lp.feasibility(a, b)
+            seen.append((a, b, result))
+            return result
+
+        monkeypatch.setattr(logic, "feasibility", recorded)
+        hull_membership(diagram, p, tol=tol)
+        return seen
+
+    def _agree(self, monkeypatch, diagram, seed, tols=(0, 1e-9)):
+        states = two_valued_states(diagram)
+        inside = _mixture_point(diagram, states, np.random.default_rng(seed))
+        statuses = []
+        for p in (inside, _shifted_point(diagram, inside)):
+            for tol in tols:
+                for a, b, got in self._hull_lps(monkeypatch, diagram, p, tol):
+                    assert all(type(v) is int for row in a for v in row)
+                    assert got == reference_feasibility(a, b)
+                    statuses.append(got[0])
+        return statuses
+
+    @pytest.mark.parametrize("name, tols", [
+        ("fig1", (0, 1e-9)),
+        ("fig2a", (0, 1e-9)),
+        ("fig2b", (0, 1e-9)),
+        # the Fraction oracle takes about 3 s per tolerance on fig3 (its
+        # 55×136 band LP), so fig3 runs at the default tolerance only
+        ("fig3", (1e-9,)),
+    ])
+    def test_corpus_hulls_match_fraction_simplex(self, monkeypatch, name,
+                                                 tols):
+        statuses = self._agree(monkeypatch, corpus.load(name), 3, tols)
+        assert {"feasible", "infeasible"} <= set(statuses)
+
+    def test_random_hulls_match_fraction_simplex(self, monkeypatch):
+        checked = 0
+        for seed in range(30):
+            d = corpus.random_diagram(np.random.default_rng(seed), 12)
+            if two_valued_states(d):
+                self._agree(monkeypatch, d, seed)
+                checked += 1
+        assert checked >= 20
+
+    def test_tied_ratios_match_fraction_simplex(self):
+        # duplicate rows and columns make every ratio test tie
+        a = [[1, 1, 0, 1], [1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]]
+        for b in ([1, 1, 1, 1], [Fraction(1, 2)] * 4, [1, 1, 2, 0],
+                  [Fraction(-1, 3), Fraction(-1, 3), 1, 0]):
+            assert _lp.feasibility(a, b) == reference_feasibility(a, b)
+
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5, 1.0, "1"])
+    def test_non_integer_matrix_is_refused(self, entry):
+        with pytest.raises(ValueError, match="not an integer"):
+            _lp.feasibility([[entry, 1]], [1])
+
+    def test_integral_fractions_are_accepted(self):
+        got = _lp.feasibility([[Fraction(2), Fraction(1)]], [Fraction(1, 3)])
+        assert got == _lp.feasibility([[2, 1]], [Fraction(1, 3)])
+        assert got == ("feasible", [Fraction(1, 6), Fraction(0)], None)
 
 
 class TestHullMembership:
@@ -234,13 +411,14 @@ class TestHullMembership:
         # yields a verdict whose exact certificate check must fail
         pivot = _lp._pivot
 
-        def corrupted(rows, cost, basis, r, c):
-            pivot(rows, cost, basis, r, c)
+        def corrupted(rows, cost, basis, r, c, d):
+            d = pivot(rows, cost, basis, r, c, d)
             corrupt(rows, cost)
+            return d
 
         monkeypatch.setattr(_lp, "_pivot", corrupted)
         with pytest.raises(ArithmeticError, match=re.escape(check)):
-            _lp.feasibility([[Fraction(1), Fraction(1)]], [Fraction(1)])
+            _lp.feasibility([[1, 1]], [1])
 
     def test_single_context_barycenter(self):
         third = Fraction(1, 3)
@@ -315,6 +493,13 @@ class TestHullMembership:
             hull_membership(single_context(), {"A": 2})
         with pytest.raises(ValueError, match="unknown atom"):
             hull_membership(single_context(), {"Z": 1})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_rejects_non_finite_numbers(self, value):
+        with pytest.raises(ValueError, match="not a finite number"):
+            hull_membership(single_context(), {"A": 1}, tol=value)
+        with pytest.raises(ValueError, match="not a finite number"):
+            hull_membership(single_context(), {"A": value})
 
 
 class TestRender:

@@ -78,6 +78,20 @@ class TestCheckUniqueness:
     def test_psi4_not_unique(self, name):
         assert not check_uniqueness(catalog_state(name)).overall
 
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_tolerance_above_every_amplitude_is_refused(self, name):
+        # an empty support would read as "unique" with no terms, although
+        # psi3 and the psi4 states are not unique
+        psi = catalog_state(name)
+        largest = float(np.max(np.abs(psi.coeffs)))
+        assert check_uniqueness(psi, tol=0.99 * largest).term_count >= 1
+        for tol in (largest, 5.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="no nonzero amplitude"):
+                check_uniqueness(psi, tol=tol)
+        # a rotation can raise the largest amplitude, but never above 1
+        with pytest.raises(ValueError, match="no nonzero amplitude"):
+            check_uniqueness_rotated(psi, 2, seed=1, tol=1.0)
+
     def test_unique_implies_term_count_at_most_dim(self):
         for name in CATALOG:
             psi = catalog_state(name)
