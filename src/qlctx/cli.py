@@ -167,13 +167,25 @@ def _parse_assignment(text: str) -> dict:
     return out
 
 
+def _tolerance(ctx, param, value: str) -> Fraction:
+    # a decimal string is read exactly: 1e-9 is 1/10**9, not the float's
+    # binary value, so band weights keep short denominators
+    try:
+        tol = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise click.BadParameter(f"{value!r} is not a finite number") from None
+    if tol < 0:
+        raise click.BadParameter(f"{value} is negative")
+    return tol
+
+
 @main.command("hull")
 @click.argument("diagram_file")
 @click.option("--p", "assignment", required=True,
               help="Atom probabilities, e.g. 'A=1,B=1/2'; unlisted atoms are 0.")
-@click.option("--tol", default=1e-9, show_default=True,
-              type=click.FloatRange(min=0),
-              help="Feasibility tolerance.")
+@click.option("--tol", default="1e-9", show_default=True,
+              callback=_tolerance,
+              help="Feasibility tolerance, a decimal or a fraction.")
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def hull(diagram_file, assignment, tol, as_json):
     """Test membership of atom probabilities in the classical polytope."""

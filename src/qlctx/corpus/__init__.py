@@ -1,18 +1,15 @@
-"""Bundled machine-readable diagrams and reference states, plus the
-brute-force enumeration oracle and the random-diagram generator used by the
-test suite."""
+"""Bundled machine-readable diagrams and reference states.
+
+Loading a diagram needs only the pure-Python ``logic`` module; the numpy
+state reader is imported when a state entry is loaded.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
-
-from ..logic import GreechieDiagram, make_diagram, parse_diagram, state_vector
-from ..states import read_qs
-
-MAX_ORACLE_ATOMS = 28
+from ..logic import parse_diagram
 
 
 @dataclass(frozen=True)
@@ -100,53 +97,8 @@ def load(entry_id: str):
     if entry is None:
         raise ValueError(f"unknown corpus id {entry_id!r}")
     text = data_text(entry_id)
-    return parse_diagram(text) if entry.kind == "diagram" else read_qs(text)
+    if entry.kind == "diagram":
+        return parse_diagram(text)
+    from ..states import read_qs
 
-
-def oracle_two_valued(diagram: GreechieDiagram, limit: int = MAX_ORACLE_ATOMS):
-    """Exhaustive filter of all 2^|atoms| assignments by the
-    exactly-one-per-context predicate.
-
-    Independent of the backtracking enumeration; intended as a test oracle.
-    Assignments are scanned in chunks with the context constraints applied
-    progressively, so diagrams up to ``limit`` atoms stay fast.
-    """
-    n = len(diagram.atoms)
-    if n > limit:
-        raise ValueError(f"too many atoms for the exhaustive oracle ({n} > {limit})")
-    index = {a: i for i, a in enumerate(diagram.atoms)}
-    contexts = [tuple(index[a] for a in ctx) for ctx in diagram.contexts]
-    chunk = 1 << min(n, 24)
-    survivors = []
-    for start in range(0, 1 << n, chunk):
-        x = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
-        for ctx in contexts:
-            bits = (x >> np.uint32(ctx[0])) & np.uint32(1)
-            for i in ctx[1:]:
-                bits = bits + ((x >> np.uint32(i)) & np.uint32(1))
-            x = x[bits == 1]
-            if x.size == 0:
-                break
-        survivors.extend(int(v) for v in x)
-    states = [
-        frozenset(a for a in diagram.atoms if (v >> index[a]) & 1)
-        for v in survivors
-    ]
-    return sorted(states, key=lambda s: state_vector(diagram, s))
-
-
-def random_diagram(rng: np.random.Generator, max_atoms: int = 18,
-                   dim: int = 3) -> GreechieDiagram:
-    """Random valid diagram with at most ``max_atoms`` atoms, for tests."""
-    n_pool = int(rng.integers(dim + 1, max_atoms + 1))
-    pool = [f"x{i}" for i in range(n_pool)]
-    n_contexts = int(rng.integers(1, 8))
-    contexts = []
-    seen = set()
-    for _ in range(n_contexts):
-        picks = rng.choice(n_pool, size=dim, replace=False)
-        ctx = tuple(pool[i] for i in picks)
-        if frozenset(ctx) not in seen:
-            seen.add(frozenset(ctx))
-            contexts.append(ctx)
-    return make_diagram(contexts)
+    return read_qs(text)

@@ -3,8 +3,12 @@
 A diagram is a set of named atoms (observables, representable as rays)
 grouped into contexts (maximal sets of co-measurable observables); atoms
 shared by two or more contexts are link observables.  A two-valued state
-assigns 0/1 to every atom with exactly one 1 per context; it is represented
-here as the frozenset of atoms assigned 1.
+assigns 0/1 to every atom with exactly one 1 per context.  The public
+functions represent it as the frozenset of atoms assigned 1.  Inside this
+module a state is an int mask with one bit per atom, atom 0 the most
+significant, so ascending ints are the assignment vectors in lexicographic
+atom order: enumeration, classification and the hull's vertex rows work on
+the masks, and frozensets are built only for what is returned.
 
 .gd file format, one directive per line ('#' starts a comment):
 
@@ -129,55 +133,62 @@ def link_atoms(diagram: GreechieDiagram) -> tuple[str, ...]:
     return tuple(a for a in diagram.atoms if counts[a] >= 2)
 
 
-def state_vector(diagram: GreechieDiagram, state: TwoValuedState) -> tuple[int, ...]:
-    return tuple(1 if a in state else 0 for a in diagram.atoms)
+def _atom_bits(diagram: GreechieDiagram) -> list[int]:
+    """The bit of each atom in a state mask, atom 0 the most significant."""
+    n = len(diagram.atoms)
+    return [1 << (n - 1 - i) for i in range(n)]
+
+
+def _enumerate(diagram: GreechieDiagram) -> list[tuple[int, tuple[str, ...]]]:
+    """Every two-valued state as (mask, atoms assigned 1), by ascending mask.
+
+    A mask holds one bit per atom, atom 0 the most significant, so ascending
+    masks are the assignment vectors in lexicographic atom order.  Backtracks
+    over contexts in file order on two masks, the atoms set to 1 and those
+    set to 0.  Distinct branches differ in some chosen atom, so no state is
+    found twice.
+    """
+    bits = dict(zip(diagram.atoms, _atom_bits(diagram)))
+    contexts = []
+    for ctx in diagram.contexts:
+        mask = sum(bits[a] for a in ctx)
+        contexts.append((mask, [(bits[a], mask ^ bits[a], a) for a in ctx]))
+    last = len(contexts)
+    found: list[tuple[int, tuple[str, ...]]] = []
+    chosen: list[str] = []
+
+    def backtrack(ci: int, ones: int, zeros: int):
+        if ci == last:
+            found.append((ones, tuple(chosen)))
+            return
+        mask, choices = contexts[ci]
+        held = ones & mask
+        if held:
+            if not held & (held - 1):  # one 1 already: the rest become 0
+                backtrack(ci + 1, ones, zeros | (mask ^ held))
+            return
+        for bit, rest, atom in choices:
+            if not zeros & bit:
+                chosen.append(atom)
+                backtrack(ci + 1, ones | bit, zeros | rest)
+                chosen.pop()
+
+    backtrack(0, 0, 0)
+    # the nested function refers to itself through its closure; breaking
+    # that cycle frees the closure (and the states it holds) on return
+    # instead of at the next cyclic garbage collection
+    del backtrack
+    found.sort()
+    return found
 
 
 def two_valued_states(diagram: GreechieDiagram) -> list[TwoValuedState]:
     """All 0/1 assignments with exactly one 1 per context.
 
-    Backtracks over contexts in file order; the result is sorted
-    lexicographically by assignment vector in atom order, so the
-    enumeration is deterministic and duplicate-free.
+    The result is sorted lexicographically by assignment vector in atom
+    order, so the enumeration is deterministic and duplicate-free.
     """
-    index = {a: i for i, a in enumerate(diagram.atoms)}
-    contexts = [tuple(index[a] for a in ctx) for ctx in diagram.contexts]
-    assign: list[int | None] = [None] * len(diagram.atoms)
-    found: list[TwoValuedState] = []
-
-    def backtrack(ci: int):
-        if ci == len(contexts):
-            found.append(
-                frozenset(a for a, i in index.items() if assign[i] == 1)
-            )
-            return
-        ctx = contexts[ci]
-        ones = [i for i in ctx if assign[i] == 1]
-        if len(ones) > 1:
-            return
-        candidates = ones if ones else [i for i in ctx if assign[i] is None]
-        for chosen in candidates:
-            touched = []
-            ok = True
-            for i in ctx:
-                want = 1 if i == chosen else 0
-                if assign[i] is None:
-                    assign[i] = want
-                    touched.append(i)
-                elif assign[i] != want:
-                    ok = False
-                    break
-            if ok:
-                backtrack(ci + 1)
-            for i in touched:
-                assign[i] = None
-
-    backtrack(0)
-    # the nested function refers to itself through its closure; breaking
-    # that cycle frees the closure (and the states it holds) on return
-    # instead of at the next cyclic garbage collection
-    del backtrack
-    return sorted(set(found), key=lambda s: state_vector(diagram, s))
+    return [frozenset(chosen) for _, chosen in _enumerate(diagram)]
 
 
 def nonseparating_pairs(diagram: GreechieDiagram) -> list[tuple[str, str]]:
@@ -186,35 +197,39 @@ def nonseparating_pairs(diagram: GreechieDiagram) -> list[tuple[str, str]]:
     Empty when no two-valued states exist (nonexistence is reported
     separately by classify).
     """
-    return _pairs_in(diagram, two_valued_states(diagram))
+    return _pairs_in(diagram, [mask for mask, _ in _enumerate(diagram)])
 
 
-def _pairs_in(diagram: GreechieDiagram, states) -> list[tuple[str, str]]:
-    """Atom pairs with equal values in every state, in the order of
-    ``itertools.combinations(diagram.atoms, 2)``.
+def _pairs_in(diagram: GreechieDiagram, masks) -> list[tuple[str, str]]:
+    """Atom pairs with equal values in every state of ``masks``, in the
+    order of ``itertools.combinations(diagram.atoms, 2)``.
 
     Atoms are grouped by their state-incidence signature through partition
-    refinement: each state splits every group into the atoms it holds and
-    the rest, and groups of one atom are dropped.  That is O(n·|S|) instead
-    of O(n²·|S|), and it stops as soon as no group is left.
+    refinement: a group is a mask of atom bits, each state m splits it into
+    g & m and g & ~m, and groups of one atom are dropped.  That is
+    O(n·|S|) instead of O(n²·|S|), and it stops as soon as no group is left.
     """
-    groups = [list(diagram.atoms)] if states else []
+    bits = _atom_bits(diagram)
+    groups = [sum(bits)] if masks else []
     # enumerated states come sorted, so neighbouring ones differ in few
     # atoms; visiting every 64th state first splits the groups early
-    spread = itertools.chain.from_iterable(states[k::64] for k in range(64))
-    for state in spread:
+    spread = itertools.chain.from_iterable(masks[k::64] for k in range(64))
+    for mask in spread:
         if not groups:
             return []
         groups = [
             part
             for group in groups
-            for part in ([a for a in group if a in state],
-                         [a for a in group if a not in state])
-            if len(part) > 1
+            for part in (group & mask, group & ~mask)
+            if part & (part - 1)
         ]
-    position = {a: i for i, a in enumerate(diagram.atoms)}
-    pairs = [pair for group in groups for pair in itertools.combinations(group, 2)]
-    return sorted(pairs, key=lambda pair: (position[pair[0]], position[pair[1]]))
+    pairs = sorted(
+        pair
+        for group in groups
+        for pair in itertools.combinations(
+            [i for i, bit in enumerate(bits) if group & bit], 2)
+    )
+    return [(diagram.atoms[i], diagram.atoms[j]) for i, j in pairs]
 
 
 @dataclass(frozen=True)
@@ -234,18 +249,22 @@ class StateSetClassification:
 
 
 def classify(diagram: GreechieDiagram) -> StateSetClassification:
-    states = two_valued_states(diagram)
-    count = len(states)
-    if not states:
+    masks = [mask for mask, _ in _enumerate(diagram)]
+    count = len(masks)
+    if not masks:
         return StateSetClassification("nonexistent")
+    live = 0
+    for mask in masks:
+        live |= mask
     dead = tuple(
-        a for a in diagram.atoms if all(a not in s for s in states)
+        a for a, bit in zip(diagram.atoms, _atom_bits(diagram))
+        if not live & bit
     )
     if dead:
         return StateSetClassification(
             "nonunital", witness_atoms=dead, state_count=count
         )
-    pairs = tuple(_pairs_in(diagram, states))
+    pairs = tuple(_pairs_in(diagram, masks))
     if pairs:
         return StateSetClassification(
             "unital_nonseparating", witness_pairs=pairs, state_count=count
@@ -286,17 +305,19 @@ def _to_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a probability")
 
 
-def hull_membership(diagram: GreechieDiagram, p, tol=1e-9) -> HullMembership:
+def hull_membership(diagram: GreechieDiagram, p, tol="1e-9") -> HullMembership:
     """Decide whether atom probabilities p lie in the classical polytope.
 
     p maps atom names to values in [0, 1] (ints, floats, Fractions, or
     strings like '1/3'); unlisted atoms default to 0.  The test asks for
     nonnegative weights over the enumerated two-valued states that sum to
     one and reproduce p within ``tol`` componentwise; it is solved exactly
-    in rational arithmetic, so certificates are exact.
+    in rational arithmetic, so certificates are exact.  ``tol`` takes the
+    same types; a decimal string such as the default '1e-9' is read
+    exactly, where a float enters with its binary value.
     """
-    states = two_valued_states(diagram)
-    if not states:
+    found = _enumerate(diagram)
+    if not found:
         raise ValueError("no classical states: the diagram admits no "
                          "two-valued states")
     for atom in p:
@@ -310,17 +331,19 @@ def hull_membership(diagram: GreechieDiagram, p, tol=1e-9) -> HullMembership:
         raise ValueError("tolerance must be nonnegative")
 
     m = len(diagram.atoms)
-    k = len(states)
+    k = len(found)
+    states = tuple(frozenset(chosen) for _, chosen in found)
     # the constraint matrix is integer (0, ±1); only the right-hand side is
     # fractional, which is what the integer tableau of feasibility expects
-    vertex = [[1 if a in s else 0 for s in states] for a in diagram.atoms]
+    vertex = [[1 if mask & bit else 0 for mask, _ in found]
+              for bit in _atom_bits(diagram)]
 
     # exact reproduction first: clean certificates whenever p is hit exactly
     rows = vertex + [[1] * k]
     rhs = list(target) + [Fraction(1)]
     status, x, _ = feasibility(rows, rhs)
     if status == "feasible":
-        return HullMembership(True, tuple(states), weights=tuple(x))
+        return HullMembership(True, states, weights=tuple(x))
 
     # otherwise allow a componentwise band of width tol around p
     # columns: state weights (k) | band offsets w (m) | band slacks r (m)
@@ -341,7 +364,7 @@ def hull_membership(diagram: GreechieDiagram, p, tol=1e-9) -> HullMembership:
 
     status, x, farkas = feasibility(rows, rhs)
     if status == "feasible":
-        return HullMembership(True, tuple(states), weights=tuple(x[:k]))
+        return HullMembership(True, states, weights=tuple(x[:k]))
 
     # Farkas row multipliers -> separating functional on atom probabilities
     coeffs = farkas[:m]
@@ -352,7 +375,7 @@ def hull_membership(diagram: GreechieDiagram, p, tol=1e-9) -> HullMembership:
     value = sum(c * t for c, t in zip(coeffs, target))
     return HullMembership(
         False,
-        tuple(states),
+        states,
         functional=functional,
         offset=offset,
         margin=value - offset,

@@ -1,0 +1,150 @@
+"""Test oracles and generators for the two-valued-state layer.
+
+None of this has a caller in the product: the exhaustive enumeration
+oracle, the frozenset backtracker that the bitmask enumeration replaced,
+the random-diagram generator and the diagram families with closed-form
+state counts.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from qlctx.logic import GreechieDiagram, make_diagram
+
+MAX_ORACLE_ATOMS = 28
+
+
+def state_vector(diagram: GreechieDiagram, state) -> tuple[int, ...]:
+    """The 0/1 assignment of a frozenset state, in atom order."""
+    return tuple(1 if a in state else 0 for a in diagram.atoms)
+
+
+def oracle_two_valued(diagram: GreechieDiagram, limit: int = MAX_ORACLE_ATOMS):
+    """Exhaustive filter of all 2^|atoms| assignments by the
+    exactly-one-per-context predicate.
+
+    Independent of the backtracking enumeration.  Assignments are scanned in
+    chunks with the context constraints applied progressively, so diagrams
+    up to ``limit`` atoms stay fast.
+    """
+    n = len(diagram.atoms)
+    if n > limit:
+        raise ValueError(f"too many atoms for the exhaustive oracle ({n} > {limit})")
+    index = {a: i for i, a in enumerate(diagram.atoms)}
+    contexts = [tuple(index[a] for a in ctx) for ctx in diagram.contexts]
+    chunk = 1 << min(n, 24)
+    survivors = []
+    for start in range(0, 1 << n, chunk):
+        x = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
+        for ctx in contexts:
+            bits = (x >> np.uint32(ctx[0])) & np.uint32(1)
+            for i in ctx[1:]:
+                bits = bits + ((x >> np.uint32(i)) & np.uint32(1))
+            x = x[bits == 1]
+            if x.size == 0:
+                break
+        survivors.extend(int(v) for v in x)
+    states = [
+        frozenset(a for a in diagram.atoms if (v >> index[a]) & 1)
+        for v in survivors
+    ]
+    return sorted(states, key=lambda s: state_vector(diagram, s))
+
+
+def reference_two_valued_states(diagram: GreechieDiagram):
+    """The frozenset backtracker that the bitmask enumeration replaced.
+
+    Backtracks over contexts in file order on a per-atom assignment list and
+    sorts the distinct states by assignment vector.  It has no atom limit,
+    so it checks diagrams too large for ``oracle_two_valued``.
+    """
+    index = {a: i for i, a in enumerate(diagram.atoms)}
+    contexts = [tuple(index[a] for a in ctx) for ctx in diagram.contexts]
+    assign: list[int | None] = [None] * len(diagram.atoms)
+    found = []
+
+    def backtrack(ci: int):
+        if ci == len(contexts):
+            found.append(
+                frozenset(a for a, i in index.items() if assign[i] == 1)
+            )
+            return
+        ctx = contexts[ci]
+        ones = [i for i in ctx if assign[i] == 1]
+        if len(ones) > 1:
+            return
+        candidates = ones if ones else [i for i in ctx if assign[i] is None]
+        for chosen in candidates:
+            touched = []
+            ok = True
+            for i in ctx:
+                want = 1 if i == chosen else 0
+                if assign[i] is None:
+                    assign[i] = want
+                    touched.append(i)
+                elif assign[i] != want:
+                    ok = False
+                    break
+            if ok:
+                backtrack(ci + 1)
+            for i in touched:
+                assign[i] = None
+
+    backtrack(0)
+    del backtrack
+    return sorted(set(found), key=lambda s: state_vector(diagram, s))
+
+
+def random_diagram(rng: np.random.Generator, max_atoms: int = 18,
+                   dim: int = 3) -> GreechieDiagram:
+    """Random valid diagram with at most ``max_atoms`` atoms."""
+    n_pool = int(rng.integers(dim + 1, max_atoms + 1))
+    pool = [f"x{i}" for i in range(n_pool)]
+    n_contexts = int(rng.integers(1, 8))
+    contexts = []
+    seen = set()
+    for _ in range(n_contexts):
+        picks = rng.choice(n_pool, size=dim, replace=False)
+        ctx = tuple(pool[i] for i in picks)
+        if frozenset(ctx) not in seen:
+            seen.add(frozenset(ctx))
+            contexts.append(ctx)
+    return make_diagram(contexts)
+
+
+def tripod_chain(n: int) -> GreechieDiagram:
+    """n tripods in a row, consecutive ones sharing a leg: F(n + 3) states."""
+    return make_diagram([(f"c{i}", f"m{i}", f"c{i + 1}") for i in range(n)])
+
+
+def tripod_ring(n: int) -> GreechieDiagram:
+    """n >= 3 tripods in a cycle: L(n) states (Lucas number)."""
+    return make_diagram([(f"c{i}", f"m{i}", f"c{(i + 1) % n}")
+                         for i in range(n)])
+
+
+# Cabello, Estebaranz and Garcia-Alcaine (1996): 18 rays of R^4 that form
+# 9 orthogonal bases, each ray lying in exactly two of them.
+CEG_RAYS = (
+    (0, 0, 0, 1), (0, 0, 1, 0), (1, 1, 0, 0), (1, -1, 0, 0),
+    (0, 1, 0, 0), (1, 0, 1, 0), (1, 0, -1, 0), (1, -1, 1, -1),
+    (1, -1, -1, 1), (0, 0, 1, 1), (1, 1, 1, 1), (0, 1, 0, -1),
+    (1, 0, 0, 1), (1, 0, 0, -1), (0, 1, -1, 0), (1, 1, -1, 1),
+    (1, 1, 1, -1), (-1, 1, 1, 1),
+)
+
+
+def ceg18() -> GreechieDiagram:
+    """The CEG-18 Kochen-Specker set: its 9 orthogonal bases, 0 states."""
+    def orthogonal(i, j):
+        return sum(x * y for x, y in zip(CEG_RAYS[i], CEG_RAYS[j])) == 0
+
+    bases = [
+        tuple(f"r{i}" for i in quad)
+        for quad in itertools.combinations(range(len(CEG_RAYS)), 4)
+        if all(orthogonal(i, j) for i, j in itertools.combinations(quad, 2))
+    ]
+    return make_diagram(bases, name="CEG-18")

@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +72,23 @@ class TestHullCommand:
     def test_out_of_range_usage_error(self):
         result = run("hull", corpus.data_path("fig1"), "--p", "A=2")
         assert result.exit_code == 2
+
+    def test_decimal_tol_keeps_decimal_weights(self, tmp_path):
+        # the atoms sum to 1 + 10^-10, inside only within the band; read as
+        # a float, the default 1e-9 gave weights with 32-digit denominators
+        gd = tmp_path / "abc.gd"
+        gd.write_text("context A B C\n")
+        p = "A=3/10,B=3/10,C=4000000001/10000000000"
+        result = run("hull", gd, "--p", p, "--json")
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["verdict"] == "inside"
+        assert "tol" not in payload
+        weights = [Fraction(w["weight"]) for w in payload["weights"]]
+        assert sum(weights) == 1
+        assert all(10**10 % w.denominator == 0 for w in weights)
+        result = run("hull", gd, "--p", p, "--tol", "1/100000000000")
+        assert result.exit_code == 1
 
 
 class TestRealizabilityCommands:
@@ -295,6 +314,11 @@ class TestBadInputExits2:
                      "--tol", "-1")
         assert_usage_error(result, "--tol")
 
+    def test_hull_non_numeric_tol(self):
+        result = run("hull", corpus.data_path("fig1"), "--p", "A=1",
+                     "--tol", "tiny")
+        assert_usage_error(result, "not a finite number")
+
     def test_hull_non_finite_tol(self):
         # inf and nan pass a min=0 range check; the hull refuses them
         for tol in ("inf", "nan"):
@@ -353,4 +377,8 @@ class TestLeanImports:
         code = ("from qlctx.cli import main\n"
                 f"main(['states', 'enumerate', {str(corpus.data_path('fig1'))!r}],"
                 " standalone_mode=False)")
+        assert _heavy_modules_after(code) == []
+
+    def test_corpus_diagram_leaves_out_numpy_and_scipy(self):
+        code = "from qlctx import corpus\ncorpus.load('fig1')"
         assert _heavy_modules_after(code) == []

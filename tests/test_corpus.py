@@ -6,6 +6,8 @@ from qlctx.logic import GreechieDiagram, make_diagram, two_valued_states
 from qlctx.realizability import saturate_orthogonality
 from qlctx.states import MultipartiteState, catalog_state
 
+from oracles import oracle_two_valued, random_diagram
+
 
 class TestEntries:
     def test_every_entry_parses(self):
@@ -46,27 +48,27 @@ class TestEntries:
 class TestOracle:
     def test_single_context(self):
         d = make_diagram([("A", "B", "C")])
-        assert len(corpus.oracle_two_valued(d)) == 3
+        assert len(oracle_two_valued(d)) == 3
 
     def test_fig1_five_states(self):
-        states = corpus.oracle_two_valued(corpus.load("fig1"))
+        states = oracle_two_valued(corpus.load("fig1"))
         assert len(states) == 5
 
     def test_fig2b_has_classical_states(self):
         # assignment with B, D, L true satisfies all three contexts
-        states = corpus.oracle_two_valued(corpus.load("fig2b"))
+        states = oracle_two_valued(corpus.load("fig2b"))
         assert frozenset({"B", "D", "L"}) in states
 
     @pytest.mark.parametrize("name", ["fig1", "fig2a", "fig2b"])
     def test_matches_backtracking(self, name):
         d = corpus.load(name)
-        assert corpus.oracle_two_valued(d) == two_valued_states(d)
+        assert oracle_two_valued(d) == two_valued_states(d)
 
     def test_too_many_atoms(self):
         contexts = [(f"a{i}", f"b{i}", f"c{i}") for i in range(10)]  # 30 atoms
         d = make_diagram(contexts)
         with pytest.raises(ValueError, match="too many atoms"):
-            corpus.oracle_two_valued(d)
+            oracle_two_valued(d)
 
 
 class TestIndependence:
@@ -80,13 +82,13 @@ class TestRandomDiagrams:
     def test_generator_produces_valid_diagrams(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            d = corpus.random_diagram(rng, max_atoms=18)
+            d = random_diagram(rng, max_atoms=18)
             assert len(d.atoms) <= 18
             assert d.dim == 3
             used = {a for ctx in d.contexts for a in ctx}
             assert used == set(d.atoms)
 
     def test_generator_deterministic(self):
-        a = corpus.random_diagram(np.random.default_rng(42))
-        b = corpus.random_diagram(np.random.default_rng(42))
+        a = random_diagram(np.random.default_rng(42))
+        b = random_diagram(np.random.default_rng(42))
         assert a == b

@@ -18,8 +18,16 @@ from qlctx.logic import (
     nonseparating_pairs,
     parse_diagram,
     render,
-    state_vector,
     two_valued_states,
+)
+from oracles import (
+    ceg18,
+    oracle_two_valued,
+    random_diagram,
+    reference_two_valued_states,
+    state_vector,
+    tripod_chain,
+    tripod_ring,
 )
 
 FIG1_STATES = [  # frozen from the exhaustive 2^5 enumeration
@@ -141,7 +149,7 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("name", ["fig1", "fig2a", "fig2b"])
     def test_corpus_diagrams(self, name):
         d = corpus.load(name)
-        assert two_valued_states(d) == corpus.oracle_two_valued(d)
+        assert two_valued_states(d) == oracle_two_valued(d)
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -164,7 +172,72 @@ class TestOracleAgreement:
                 seen.add(frozenset(ctx))
                 contexts.append(ctx)
         d = make_diagram(contexts)
-        assert two_valued_states(d) == corpus.oracle_two_valued(d)
+        assert two_valued_states(d) == oracle_two_valued(d)
+
+    def test_seeded_random_diagrams_in_order(self):
+        for seed in range(200):
+            d = random_diagram(np.random.default_rng(seed))
+            assert two_valued_states(d) == oracle_two_valued(d)
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def _lucas(n):
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+# families beyond the exhaustive oracle's 28 atoms, with closed-form counts
+LARGE_FAMILIES = [
+    pytest.param(tripod_chain(16), _fibonacci(19), id="chain16"),
+    pytest.param(tripod_chain(20), _fibonacci(23), id="chain20"),
+    pytest.param(tripod_ring(16), _lucas(16), id="ring16"),
+    pytest.param(ceg18(), 0, id="ceg18"),
+]
+
+
+class TestBitmaskEnumeration:
+    @pytest.mark.parametrize("d, count", LARGE_FAMILIES)
+    def test_matches_frozenset_backtracker(self, d, count):
+        states = two_valued_states(d)
+        assert len(states) == count
+        assert states == reference_two_valued_states(d)
+
+    @pytest.mark.parametrize("d, count", LARGE_FAMILIES)
+    def test_classify_and_pairs_on_masks(self, d, count):
+        states = reference_two_valued_states(d)
+        masks = [mask for mask, _ in logic._enumerate(d)]
+        pairs = reference_pairs(d, states)
+        assert logic._pairs_in(d, masks) == pairs
+        assert nonseparating_pairs(d) == pairs
+        result = classify(d)
+        assert result.state_count == count
+        if not states:
+            assert result.kind == "nonexistent"
+        else:
+            dead = tuple(a for a in d.atoms if all(a not in s for s in states))
+            assert result.witness_atoms == dead
+            assert result.witness_pairs == (() if dead else tuple(pairs))
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2a", "fig2b", "fig3"])
+    def test_mask_bits_are_the_state_vector(self, name):
+        # atom 0 is the most significant bit, so ascending masks are the
+        # assignment vectors in lexicographic order
+        d = corpus.load(name)
+        found = logic._enumerate(d)
+        width = len(d.atoms)
+        assert [m for m, _ in found] == sorted({m for m, _ in found})
+        for (mask, chosen), state in zip(found, two_valued_states(d)):
+            assert frozenset(chosen) == state
+            assert tuple(map(int, format(mask, f"0{width}b"))) == \
+                state_vector(d, state)
 
 
 class TestClassify:
@@ -211,12 +284,13 @@ class TestClassify:
         d = corpus.load("fig3")
         expected = len(two_valued_states(d))
         calls = []
+        enumerate_states = logic._enumerate
 
         def counted(diagram):
             calls.append(diagram)
-            return two_valued_states(diagram)
+            return enumerate_states(diagram)
 
-        monkeypatch.setattr(logic, "two_valued_states", counted)
+        monkeypatch.setattr(logic, "_enumerate", counted)
         result = classify(d)
         assert len(calls) == 1
         assert result.state_count == expected
@@ -291,13 +365,15 @@ class TestPairsBySignature:
         # groups of equal signatures than complete state sets do
         rng = np.random.default_rng(17)
         for seed in range(40):
-            d = corpus.random_diagram(np.random.default_rng(seed))
-            states = two_valued_states(d)
-            for k in sorted({0, 1, 2, len(states) // 2, len(states)}):
-                subset = [states[i] for i in sorted(
-                    rng.choice(len(states), size=min(k, len(states)),
+            d = random_diagram(np.random.default_rng(seed))
+            found = logic._enumerate(d)
+            for k in sorted({0, 1, 2, len(found) // 2, len(found)}):
+                subset = [found[i] for i in sorted(
+                    rng.choice(len(found), size=min(k, len(found)),
                                replace=False))]
-                assert logic._pairs_in(d, subset) == reference_pairs(d, subset)
+                masks = [mask for mask, _ in subset]
+                states = [frozenset(chosen) for _, chosen in subset]
+                assert logic._pairs_in(d, masks) == reference_pairs(d, states)
 
 
 def _shift_rhs(rows, cost):
@@ -376,7 +452,7 @@ class TestIntegerTableau:
     def test_random_hulls_match_fraction_simplex(self, monkeypatch):
         checked = 0
         for seed in range(30):
-            d = corpus.random_diagram(np.random.default_rng(seed), 12)
+            d = random_diagram(np.random.default_rng(seed), 12)
             if two_valued_states(d):
                 self._agree(monkeypatch, d, seed)
                 checked += 1
