@@ -4,50 +4,52 @@ Exit codes: 0 = analysis completed, 1 = analysis completed with a negative
 verdict (not unique / refuted / outside the hull / nonclassical state set /
 no witness found), 2 = usage or input error.
 
-Only ``logic`` (pure Python) is imported here; numpy and the other engine
-modules are imported inside the commands that use them, so a command pays
-start-up only for what it runs.
+Only ``logic`` and ``_text`` (pure Python) are imported here; numpy and the
+other engine modules are imported inside the commands that use them, so a
+command pays start-up only for what it runs.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 import click
 
-from . import logic
+from . import _text, logic
 
 EXIT_NEGATIVE = 1
 
 
-def _echo_json(payload) -> None:
-    click.echo(json.dumps(payload, indent=2))
-
-
-def _read_text(path: str) -> str:
+@contextmanager
+def _usage_errors(prefix: str | None = None):
+    """Report a ValueError raised inside as a usage error (exit 2), its
+    message prefixed with ``prefix`` when one is given."""
     try:
-        return Path(path).read_text()
+        yield
+    except ValueError as exc:
+        raise click.UsageError(f"{prefix}: {exc}" if prefix else str(exc)) from None
+
+
+def _echo_json(payload) -> None:
+    # finite inputs can still overflow (huge eigenvalues); refuse the result
+    # rather than print NaN or Infinity, which are not JSON
+    with _usage_errors("result out of floating-point range"):
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    click.echo(text)
+
+
+def _load(path: str, reader):
+    """``reader`` applied to the text of a file; errors name the file."""
+    try:
+        text = Path(path).read_text()
     except OSError as exc:
         raise click.UsageError(f"cannot read {path}: {exc}") from None
-
-
-def _load_diagram(path: str) -> logic.GreechieDiagram:
-    try:
-        return logic.parse_diagram(_read_text(path))
-    except logic.ParseError as exc:
-        raise click.UsageError(f"{path}: {exc}") from None
-
-
-def _load_state(path: str):
-    from . import states as statemod
-
-    try:
-        return statemod.read_qs(_read_text(path))
-    except ValueError as exc:
-        raise click.UsageError(f"{path}: {exc}") from None
+    with _usage_errors(path):
+        return reader(text)
 
 
 def _write_output(text: str, outfile: str | None) -> None:
@@ -61,26 +63,21 @@ def _write_output(text: str, outfile: str | None) -> None:
         raise click.UsageError(f"cannot write {outfile}: {exc}") from None
 
 
-def _frac(value: Fraction) -> str:
-    return str(value)
-
-
-def _complex_rows(matrix) -> list:
+def _complex_rows(array) -> list:
+    """A complex array as nested lists with [re, im] in place of each entry."""
     import numpy as np
 
-    return [[[z.real, z.imag] for z in row] for row in np.asarray(matrix, complex)]
+    return np.stack([array.real, array.imag], -1).tolist()
 
 
-def _state_terms(psi) -> list:
-    import numpy as np
+def _echo_matrix(matrix) -> None:
+    for row in matrix:
+        click.echo("  " + "  ".join(f"{z.real: .12f}{z.imag:+.12f}j" for z in row))
 
-    shape = (psi.site_dim,) * psi.sites
-    terms = []
-    for idx in np.flatnonzero(np.abs(psi.coeffs) > 1e-12):
-        amp = psi.coeffs[idx]
-        digits = [int(d) for d in np.unravel_index(int(idx), shape)]
-        terms.append({"re": amp.real, "im": amp.imag, "indices": digits})
-    return terms
+
+def _terms_payload(psi) -> list:
+    return [{"re": amp.real, "im": amp.imag, "indices": list(digits)}
+            for amp, digits in psi.terms()]
 
 
 @click.group()
@@ -102,8 +99,9 @@ def states_group():
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def states_enumerate(diagram_file, as_json):
     """Enumerate all two-valued states of a .gd diagram."""
-    diagram = _load_diagram(diagram_file)
-    sts = logic.two_valued_states(diagram)
+    diagram = _load(diagram_file, logic.parse_diagram)
+    with _usage_errors(diagram_file):
+        sts = logic.two_valued_states(diagram)
     listed = [[a for a in diagram.atoms if a in s] for s in sts]
     if as_json:
         _echo_json(
@@ -123,8 +121,9 @@ def states_enumerate(diagram_file, as_json):
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def states_classify(diagram_file, as_json):
     """Classify the two-valued state set of a .gd diagram."""
-    diagram = _load_diagram(diagram_file)
-    result = logic.classify(diagram)
+    diagram = _load(diagram_file, logic.parse_diagram)
+    with _usage_errors(diagram_file):
+        result = logic.classify(diagram)
     count = result.state_count
     if as_json:
         _echo_json(
@@ -189,12 +188,10 @@ def _tolerance(ctx, param, value: str) -> Fraction:
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def hull(diagram_file, assignment, tol, as_json):
     """Test membership of atom probabilities in the classical polytope."""
-    diagram = _load_diagram(diagram_file)
+    diagram = _load(diagram_file, logic.parse_diagram)
     p = _parse_assignment(assignment)
-    try:
+    with _usage_errors():
         result = logic.hull_membership(diagram, p, tol=tol)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
     if as_json:
         payload = {
             "verdict": "inside" if result.inside else "outside",
@@ -207,30 +204,30 @@ def hull(diagram_file, assignment, tol, as_json):
             payload["weights"] = [
                 {
                     "state": [a for a in diagram.atoms if a in s],
-                    "weight": _frac(w),
+                    "weight": str(w),
                 }
                 for s, w in zip(result.states, result.weights)
                 if w != 0
             ]
         else:
             payload["functional"] = {
-                a: _frac(c) for a, c in result.functional.items()
+                a: str(c) for a, c in result.functional.items()
             }
-            payload["offset"] = _frac(result.offset)
-            payload["margin"] = _frac(result.margin)
+            payload["offset"] = str(result.offset)
+            payload["margin"] = str(result.margin)
         _echo_json(payload)
     elif result.inside:
         click.echo("inside: convex combination of two-valued states")
         for s, w in zip(result.states, result.weights):
             if w != 0:
-                click.echo(f"  {_frac(w)} * {{{' '.join(a for a in diagram.atoms if a in s)}}}")
+                click.echo(f"  {w!s} * {{{' '.join(a for a in diagram.atoms if a in s)}}}")
     else:
         click.echo("outside: separating functional f with f(state) <= c < f(p)")
         for atom, coef in result.functional.items():
             if coef != 0:
-                click.echo(f"  f[{atom}] = {_frac(coef)}")
-        click.echo(f"  c = {_frac(result.offset)}")
-        click.echo(f"  margin = {_frac(result.margin)}")
+                click.echo(f"  f[{atom}] = {coef!s}")
+        click.echo(f"  c = {result.offset!s}")
+        click.echo(f"  margin = {result.margin!s}")
     if not result.inside:
         sys.exit(EXIT_NEGATIVE)
 
@@ -242,7 +239,7 @@ def hull(diagram_file, assignment, tol, as_json):
 @click.argument("diagram_file")
 @click.option("--dim", required=True, type=click.IntRange(min=2),
               help="Hilbert-space dimension.")
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--restarts", default=20, show_default=True,
               type=click.IntRange(min=1))
 @click.option("--complex", "complex_space", is_flag=True,
@@ -254,7 +251,7 @@ def realize(diagram_file, dim, seed, restarts, complex_space, outfile, as_json):
     """Search for unit vectors realizing a diagram's orthogonality."""
     from . import realizability
 
-    diagram = _load_diagram(diagram_file)
+    diagram = _load(diagram_file, logic.parse_diagram)
     result = realizability.search_realization(
         diagram, dim, seed=seed, restarts=restarts, complex_space=complex_space
     )
@@ -269,8 +266,7 @@ def realize(diagram_file, dim, seed, restarts, complex_space, outfile, as_json):
         if result.success:
             payload["space"] = result.realization.space
             payload["vectors"] = {
-                a: [[z.real, z.imag] for z in v]
-                for a, v in result.realization.vectors.items()
+                a: _complex_rows(v) for a, v in result.realization.vectors.items()
             }
         _echo_json(payload)
     elif result.success:
@@ -293,11 +289,9 @@ def saturate(diagram_file, as_json):
     """Run the dimension-3 orthogonality saturation rule on a diagram."""
     from . import realizability
 
-    diagram = _load_diagram(diagram_file)
-    try:
+    diagram = _load(diagram_file, logic.parse_diagram)
+    with _usage_errors():
         outcome = realizability.saturate_orthogonality(diagram)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
     if as_json:
         _echo_json(
             {
@@ -328,11 +322,9 @@ def saturate(diagram_file, as_json):
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def render_cmd(diagram_file, style, outfile, as_json):
     """Render a diagram as DOT text."""
-    diagram = _load_diagram(diagram_file)
-    try:
+    diagram = _load(diagram_file, logic.parse_diagram)
+    with _usage_errors():
         text = logic.render(diagram, style)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
     if not as_json:
         _write_output(text, outfile)
         return
@@ -370,25 +362,24 @@ def _report_payload(report) -> dict:
 @click.option("--rotations", default=0, show_default=True,
               type=click.IntRange(min=0),
               help="Also check this many random identical local rotations.")
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--tol", default=1e-9, show_default=True,
               type=click.FloatRange(min=0),
               help="Amplitudes at or below this magnitude count as zero.")
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def uniq_check(state_file, rotations, seed, tol, as_json):
     """Check the outcome-uniqueness property of a state."""
+    from . import states as statemod
     from . import uniqueness
 
-    psi = _load_state(state_file)
-    try:
+    psi = _load(state_file, statemod.read_qs)
+    with _usage_errors():
         base = uniqueness.check_uniqueness(psi, tol=tol)
         rotated = []
         if rotations > 0:
             rotated = uniqueness.check_uniqueness_rotated(
                 psi, rotations, seed=seed, tol=tol
             )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
     unique = base.overall and all(r.report.overall for r in rotated)
     if as_json:
         payload = _report_payload(base)
@@ -434,17 +425,15 @@ def catalog(name, outfile, as_json):
     """Emit a catalog state (psi2, psi3, psi4_1..3, ghzm) as .qs text."""
     from . import states as statemod
 
-    try:
+    with _usage_errors():
         psi = statemod.catalog_state(name)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
     if as_json:
         _echo_json(
             {
                 "name": name,
                 "sites": psi.sites,
                 "dim": psi.site_dim,
-                "terms": _state_terms(psi),
+                "terms": _terms_payload(psi),
             }
         )
         return
@@ -459,17 +448,15 @@ def singlet(dim, sites, as_json):
     """Orthonormal basis of the total-spin-zero subspace."""
     from . import states as statemod
 
-    try:
+    with _usage_errors():
         basis = statemod.singlet_subspace(dim, sites)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
     if as_json:
         _echo_json(
             {
                 "dim": dim,
                 "sites": sites,
                 "count": len(basis),
-                "states": [_state_terms(psi) for psi in basis],
+                "states": [_terms_payload(psi) for psi in basis],
             }
         )
         return
@@ -500,15 +487,13 @@ def context_op(phi, eigs, as_json):
 
     from . import contexts as contextops
 
-    try:
-        eig_values = tuple(float(x) for x in eigs.split(","))
-    except ValueError:
-        raise click.UsageError(f"bad eigenvalue list {eigs!r}") from None
+    with _usage_errors("--phi"):
+        phi = _text.finite(phi)
+    with _usage_errors("--eigs"):
+        eig_values = tuple(_text.finite(x) for x in eigs.split(","))
     standard, rotated = contextops.two_tripod_bases(phi)
-    try:
+    with _usage_errors():
         ctx_rot = contextops.context_operator(rotated, eig_values)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
     ctx_std = contextops.context_operator(standard, (1.0, 2.0, 3.0))
     links = contextops.link_observables(ctx_std, ctx_rot)
     comm = ctx_std.operator @ ctx_rot.operator - ctx_rot.operator @ ctx_std.operator
@@ -526,10 +511,24 @@ def context_op(phi, eigs, as_json):
         )
         return
     click.echo(f"rotated context operator (phi={phi!r}, eigenvalues {eigs}):")
-    for row in np.asarray(ctx_rot.operator):
-        click.echo("  " + "  ".join(f"{z.real: .12f}{z.imag:+.12f}j" for z in row))
+    _echo_matrix(ctx_rot.operator)
     click.echo(f"links with the standard context: {len(links)}")
     click.echo(f"commutator max-abs entry: {comm_max!r}")
+
+
+def _read_matrix(text: str):
+    """A square complex matrix, one row per line."""
+    import numpy as np
+
+    rows = []
+    for lineno, tokens in _text.lines(text):
+        try:
+            rows.append([_text.finite(tok, complex) for tok in tokens])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    if not rows or any(len(r) != len(rows) for r in rows):
+        raise ValueError("expected a square matrix")
+    return np.array(rows, dtype=complex)
 
 
 @main.command("split")
@@ -538,34 +537,15 @@ def context_op(phi, eigs, as_json):
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def split(matrix_file, as_json):
     """Split a square matrix A into self-adjoint components A = A1 + i A2."""
-    import numpy as np
-
     from . import contexts as contextops
 
-    rows = []
-    for lineno, raw in enumerate(_read_text(matrix_file).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            rows.append([complex(tok) for tok in line.split()])
-        except ValueError:
-            raise click.UsageError(
-                f"{matrix_file}: line {lineno}: malformed complex entry"
-            ) from None
-    if not rows or any(len(r) != len(rows) for r in rows):
-        raise click.UsageError(f"{matrix_file}: expected a square matrix")
-    try:
-        a1, a2 = contextops.split_selfadjoint(np.array(rows, dtype=complex))
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    a1, a2 = contextops.split_selfadjoint(_load(matrix_file, _read_matrix))
     if as_json:
         _echo_json({"real_part": _complex_rows(a1), "imag_part": _complex_rows(a2)})
         return
     for label, mat in (("A1 (self-adjoint)", a1), ("A2 (self-adjoint)", a2)):
         click.echo(label + ":")
-        for row in np.asarray(mat):
-            click.echo("  " + "  ".join(f"{z.real: .12f}{z.imag:+.12f}j" for z in row))
+        _echo_matrix(mat)
 
 
 if __name__ == "__main__":

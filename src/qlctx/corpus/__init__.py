@@ -76,27 +76,27 @@ DIAGRAM_IDS = tuple(e.id for e in ENTRIES.values() if e.kind == "diagram")
 STATE_IDS = tuple(e.id for e in ENTRIES.values() if e.kind == "state")
 
 
-def data_text(entry_id: str) -> str:
+def _data(entry_id: str):
+    """An entry and its data file; ValueError for an unknown id."""
     entry = ENTRIES.get(entry_id)
     if entry is None:
         raise ValueError(f"unknown corpus id {entry_id!r}")
-    return (resources.files(__package__) / "data" / entry.filename).read_text()
+    return entry, resources.files(__package__) / "data" / entry.filename
+
+
+def data_text(entry_id: str) -> str:
+    return _data(entry_id)[1].read_text()
 
 
 def data_path(entry_id: str) -> str:
     """Filesystem path of a corpus file (the package ships as plain files)."""
-    entry = ENTRIES.get(entry_id)
-    if entry is None:
-        raise ValueError(f"unknown corpus id {entry_id!r}")
-    return str(resources.files(__package__) / "data" / entry.filename)
+    return str(_data(entry_id)[1])
 
 
 def load(entry_id: str):
     """Parse a corpus entry into a GreechieDiagram or MultipartiteState."""
-    entry = ENTRIES.get(entry_id)
-    if entry is None:
-        raise ValueError(f"unknown corpus id {entry_id!r}")
-    text = data_text(entry_id)
+    entry, data = _data(entry_id)
+    text = data.read_text()
     if entry.kind == "diagram":
         return parse_diagram(text)
     from ..states import read_qs

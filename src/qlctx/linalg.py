@@ -1,6 +1,5 @@
-"""Small dense linear-algebra helpers shared by the package: dyads,
-hermiticity and unitarity defects, kernels, spin matrices and spin-rotation
-unitaries.
+"""Small dense linear-algebra helpers shared by the package: dyads, the
+unitarity defect, kernels, spin matrices and spin-rotation unitaries.
 
 Everything operates on plain numpy arrays and is pure: inputs are never
 mutated and there is no global state, so values can be shared freely
@@ -25,11 +24,6 @@ def dyad(v) -> np.ndarray:
     if n2 == 0.0 or not np.isfinite(n2):
         raise ValueError("dyad of a zero vector")
     return np.outer(v, v.conj()) / n2
-
-
-def hermiticity_defect(m) -> float:
-    m = as_complex(m)
-    return float(np.max(np.abs(m - m.conj().T)))
 
 
 def unitarity_defect(u) -> float:

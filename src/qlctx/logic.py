@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _text
 from ._lp import feasibility
 
 TwoValuedState = frozenset  # atoms assigned 1; all other atoms are 0
@@ -104,11 +105,7 @@ def parse_diagram(text: str) -> GreechieDiagram:
     declared = None
     contexts: list[tuple[str, ...]] = []
     lines: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _text.lines(text):
         keyword, rest = tokens[0], tokens[1:]
         if keyword == "name":
             name = " ".join(rest) or None
@@ -146,7 +143,8 @@ def _enumerate(diagram: GreechieDiagram) -> list[tuple[int, tuple[str, ...]]]:
     masks are the assignment vectors in lexicographic atom order.  Backtracks
     over contexts in file order on two masks, the atoms set to 1 and those
     set to 0.  Distinct branches differ in some chosen atom, so no state is
-    found twice.
+    found twice.  A diagram with more contexts than Python's recursion limit
+    raises ValueError.
     """
     bits = dict(zip(diagram.atoms, _atom_bits(diagram)))
     contexts = []
@@ -173,11 +171,18 @@ def _enumerate(diagram: GreechieDiagram) -> list[tuple[int, tuple[str, ...]]]:
                 backtrack(ci + 1, ones | bit, zeros | rest)
                 chosen.pop()
 
-    backtrack(0, 0, 0)
-    # the nested function refers to itself through its closure; breaking
-    # that cycle frees the closure (and the states it holds) on return
-    # instead of at the next cyclic garbage collection
-    del backtrack
+    try:
+        backtrack(0, 0, 0)
+    except RecursionError:
+        raise ValueError(
+            f"{last} contexts are too many for the backtracking enumeration, "
+            "which recurses once per context"
+        ) from None
+    finally:
+        # the nested function refers to itself through its closure; breaking
+        # that cycle frees the closure (and the states it holds) on return
+        # instead of at the next cyclic garbage collection
+        del backtrack
     found.sort()
     return found
 

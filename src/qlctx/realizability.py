@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _text
 from .logic import GreechieDiagram
 
 DISTINCTNESS_MARGIN = 0.05
@@ -358,18 +359,14 @@ def save_realization(realization: Realization) -> str:
 def load_realization(text: str) -> Realization:
     vectors = {}
     any_imag = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _text.lines(text):
         atom, rest = tokens[0], tokens[1:]
         if len(rest) < 2 or len(rest) % 2:
             raise ValueError(f"line {lineno}: expected re/im pairs after atom")
         try:
-            vals = [float(t) for t in rest]
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed number") from None
+            vals = [_text.finite(t) for t in rest]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         re = np.array(vals[0::2])
         im = np.array(vals[1::2])
         any_imag = any_imag or bool(np.any(im != 0.0))

@@ -15,11 +15,13 @@ builds dense (d**n)² matrices.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
+from . import _text
 from .linalg import kernel, rotation_unitary, spin_matrices, unitarity_defect
 
 SITE_LABELS = {2: ("+", "-"), 3: ("+", "0", "-")}
@@ -84,14 +86,13 @@ class MultipartiteState:
             raise ValueError("states live on different spaces")
         return float(abs(np.vdot(self.coeffs, other.coeffs)))
 
-    def terms(self, tol: float = 1e-12) -> list[tuple[complex, tuple[str, ...]]]:
-        """Nonzero (amplitude, labels) terms in flat-index order."""
-        labels = self.labels
-        out = []
-        for idx in np.flatnonzero(np.abs(self.coeffs) > tol):
-            digits = np.unravel_index(int(idx), (self.site_dim,) * self.sites)
-            out.append((complex(self.coeffs[idx]), tuple(labels[k] for k in digits)))
-        return out
+    def terms(self) -> Iterator[tuple[complex, tuple[int, ...]]]:
+        """Yield (amplitude, site digits) for each amplitude of magnitude
+        above 1e-12, in flat-index order."""
+        shape = (self.site_dim,) * self.sites
+        for idx in np.flatnonzero(np.abs(self.coeffs) > 1e-12):
+            digits = np.unravel_index(int(idx), shape)
+            yield complex(self.coeffs[idx]), tuple(int(k) for k in digits)
 
 
 def from_terms(sites: int, site_dim: int, terms) -> MultipartiteState:
@@ -183,8 +184,13 @@ def spin_total_operators(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _check_total_dim(d: int, n: int) -> None:
-    if d**n > MAX_TOTAL_DIM:
-        raise ValueError(f"total dimension {d ** n} too large (limit {MAX_TOTAL_DIM})")
+    # d >= 2, so capping the exponent keeps a huge n from building a huge
+    # integer without changing the verdict
+    if d ** min(n, 64) > MAX_TOTAL_DIM:
+        raise ValueError(
+            f"{n} sites of dimension {d} exceed the total dimension limit "
+            f"{MAX_TOTAL_DIM}"
+        )
 
 
 def _raising_sector(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -321,50 +327,35 @@ def is_form_invariant(
 
 def read_qs(text: str) -> MultipartiteState:
     """Parse the .qs state format; raises ValueError with a line number."""
-    sites = dim = None
-    coeffs = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if sites is None:
-            if tokens[0] != "sites" or len(tokens) != 2:
-                raise ValueError(f"line {lineno}: expected 'sites <n>'")
-            sites = int(tokens[1])
-            if sites < 1:
-                raise ValueError(f"line {lineno}: sites must be >= 1, got {sites}")
-            continue
-        if dim is None:
-            if tokens[0] != "dim" or len(tokens) != 2:
-                raise ValueError(f"line {lineno}: expected 'dim <d>'")
-            dim = int(tokens[1])
-            if dim not in SITE_LABELS:
-                raise ValueError(f"line {lineno}: unsupported dim {dim}")
-            # dim >= 2, so capping the exponent keeps a huge 'sites' from
-            # building a huge integer without changing the verdict
-            if dim ** min(sites, 64) > MAX_TOTAL_DIM:
-                raise ValueError(
-                    f"line {lineno}: {sites} sites of dimension {dim} exceed "
-                    f"the total dimension limit {MAX_TOTAL_DIM}"
-                )
-            coeffs = np.zeros(dim**sites, dtype=complex)
-            continue
-        if len(tokens) != 2 + sites:
-            raise ValueError(
-                f"line {lineno}: expected 're im' plus {sites} site indices"
-            )
+    sites = dim = coeffs = None
+    for lineno, tokens in _text.lines(text):
         try:
-            re, im = float(tokens[0]), float(tokens[1])
-            digits = [int(t) for t in tokens[2:]]
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed term") from None
-        if any(not 0 <= k < dim for k in digits):
-            raise ValueError(f"line {lineno}: site index out of range 0..{dim - 1}")
-        idx = 0
-        for k in digits:
-            idx = idx * dim + k
-        coeffs[idx] += complex(re, im)
+            if sites is None:
+                if tokens[0] != "sites" or len(tokens) != 2:
+                    raise ValueError("expected 'sites <n>'")
+                sites = int(tokens[1])
+                if sites < 1:
+                    raise ValueError(f"sites must be >= 1, got {sites}")
+            elif dim is None:
+                if tokens[0] != "dim" or len(tokens) != 2:
+                    raise ValueError("expected 'dim <d>'")
+                dim = int(tokens[1])
+                if dim not in SITE_LABELS:
+                    raise ValueError(f"unsupported dim {dim}")
+                _check_total_dim(dim, sites)
+                coeffs = np.zeros(dim**sites, dtype=complex)
+            else:
+                if len(tokens) != 2 + sites:
+                    raise ValueError(f"expected 're im' plus {sites} site indices")
+                amp = complex(_text.finite(tokens[0]), _text.finite(tokens[1]))
+                idx = 0
+                for k in map(int, tokens[2:]):
+                    if not 0 <= k < dim:
+                        raise ValueError(f"site index out of range 0..{dim - 1}")
+                    idx = idx * dim + k
+                coeffs[idx] += amp
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if coeffs is None:
         raise ValueError("missing 'sites'/'dim' header")
     if not np.any(coeffs):
@@ -380,11 +371,6 @@ def write_qs(psi: MultipartiteState, comment: str | None = None) -> str:
             lines.append(f"# {piece}")
     lines.append(f"sites {psi.sites}")
     lines.append(f"dim {psi.site_dim}")
-    shape = (psi.site_dim,) * psi.sites
-    for idx in np.flatnonzero(np.abs(psi.coeffs) > 1e-12):
-        amp = complex(psi.coeffs[idx])
-        digits = np.unravel_index(int(idx), shape)
-        lines.append(
-            f"{amp.real!r} {amp.imag!r} " + " ".join(str(k) for k in digits)
-        )
+    for amp, digits in psi.terms():
+        lines.append(f"{amp.real!r} {amp.imag!r} " + " ".join(map(str, digits)))
     return "\n".join(lines) + "\n"

@@ -29,11 +29,6 @@ class NullFilterError(ValueError):
     """Conditioning on an outcome of (numerically) zero probability."""
 
 
-def term_count(psi: MultipartiteState, tol: float = 1e-9) -> int:
-    """Number of coefficients with magnitude above tol."""
-    return int(np.count_nonzero(np.abs(psi.coeffs) > tol))
-
-
 def filter_outcome(
     psi: MultipartiteState, site: int, outcome, tol: float = 1e-9
 ) -> MultipartiteState:

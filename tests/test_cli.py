@@ -6,12 +6,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from qlctx import corpus
 from qlctx.cli import main
 from qlctx.realizability import load_realization, verify_realization
-from qlctx.states import read_qs, catalog_state
+from qlctx.states import catalog_state, read_qs, singlet_subspace
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -208,6 +209,12 @@ class TestStateConstructors:
         result = run("catalog", "psi9")
         assert result.exit_code == 2
 
+    def test_catalog_json(self):
+        for name in ("psi4_1", "ghzm"):
+            result = run("catalog", name, "--json")
+            assert result.exit_code == 0
+            check_golden(f"catalog_{name}.json", result.output)
+
     def test_singlet_dim3_sites2(self):
         result = run("singlet", "--dim", "3", "--sites", "2")
         assert result.exit_code == 0
@@ -220,6 +227,20 @@ class TestStateConstructors:
     def test_singlet_deterministic(self):
         args = ("singlet", "--dim", "3", "--sites", "4", "--json")
         assert run(*args).output == run(*args).output
+
+    def test_singlet_json_terms_rebuild_the_basis(self):
+        result = run("singlet", "--dim", "3", "--sites", "4", "--json")
+        assert result.exit_code == 0
+        listed = json.loads(result.output)["states"]
+        basis = singlet_subspace(3, 4)
+        assert len(listed) == len(basis) == 3
+        for terms, psi in zip(listed, basis):
+            coeffs = np.zeros(3**4, dtype=complex)
+            for term in terms:
+                flat = np.ravel_multi_index(term["indices"], (3,) * 4)
+                coeffs[flat] = complex(term["re"], term["im"])
+            # only amplitudes at or below 1e-12 are left out of the listing
+            assert np.max(np.abs(coeffs - psi.coeffs)) <= 1e-12
 
     def test_singlet_size_guard(self):
         result = run("singlet", "--dim", "3", "--sites", "12")
@@ -352,6 +373,45 @@ class TestBadInputExits2:
         out = tmp_path / "missing" / "fig1.dot"
         result = run("render", corpus.data_path("fig1"), "-o", out)
         assert_usage_error(result, f"cannot write {out}")
+
+    def test_seed_negative(self):
+        result = run("realize", corpus.data_path("fig1"), "--dim", "3",
+                     "--seed", "-1")
+        assert_usage_error(result, "--seed")
+        result = run("uniq", "check", corpus.data_path("psi2"),
+                     "--rotations", "2", "--seed", "-1")
+        assert_usage_error(result, "--seed")
+
+    def test_more_contexts_than_recursion_depth(self, tmp_path):
+        n = sys.getrecursionlimit() + 200
+        gd = tmp_path / "chain.gd"
+        gd.write_text("".join(f"context c{i} m{i} c{i + 1}\n" for i in range(n)))
+        for args in (("states", "enumerate", gd), ("states", "classify", gd),
+                     ("hull", gd, "--p", "c0=1")):
+            assert_usage_error(run(*args), f"{n} contexts are too many")
+
+    def test_split_non_finite_entry(self, tmp_path):
+        mat = tmp_path / "matrix.txt"
+        for entry in ("nan", "inf", "1+infj"):
+            mat.write_text(f"1 2\n3 {entry}\n")
+            result = run("split", "--matrix", mat, "--json")
+            assert_usage_error(result, f"line 2: {entry!r} is not a finite number")
+
+    def test_context_op_non_finite(self):
+        result = run("context", "op", "--phi", "0.5", "--eigs", "nan,1,2",
+                     "--json")
+        assert_usage_error(result, "--eigs: 'nan' is not a finite number")
+        for phi in ("nan", "inf"):
+            result = run("context", "op", "--phi", phi)
+            assert_usage_error(result, f"--phi: {phi} is not a finite number")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_json_overflow_refused(self):
+        # finite eigenvalues near the float limit overflow the commutator;
+        # NaN and Infinity are not JSON, so the result is refused
+        result = run("context", "op", "--phi", "0.7", "--eigs",
+                     "1.7e308,1.6e308,0", "--json")
+        assert_usage_error(result, "result out of floating-point range")
 
     def test_catalog_unwritable_output(self, tmp_path):
         out = tmp_path / "missing" / "psi2.qs"

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -131,6 +132,15 @@ class TestTwoValuedStates:
 
     def test_no_states_on_odd_cycle(self):
         assert two_valued_states(odd_cycle()) == []
+
+    def test_more_contexts_than_recursion_depth(self):
+        # the backtracker recurses once per context, so a long tripod chain
+        # is refused with a ValueError instead of a RecursionError
+        n = sys.getrecursionlimit() + 200
+        chain = make_diagram([(f"c{i}", f"m{i}", f"c{i + 1}") for i in range(n)])
+        for engine in (two_valued_states, classify, nonseparating_pairs):
+            with pytest.raises(ValueError, match=f"{n} contexts are too many"):
+                engine(chain)
 
     def test_enumeration_leaves_no_garbage_cycle(self):
         # a cycle would keep the states alive until the next cyclic

@@ -247,5 +247,7 @@ class TestSerialization:
     def test_malformed_lines(self):
         with pytest.raises(ValueError, match="line 1"):
             load_realization("A 1.0 0.0 2.0\n")
+        with pytest.raises(ValueError, match="line 2: 'nan' is not a finite"):
+            load_realization("A 1 0\nB nan 0\n")
         with pytest.raises(ValueError):
             load_realization("")

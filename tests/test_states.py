@@ -300,6 +300,21 @@ class TestStateFiles:
         with pytest.raises(ValueError, match="line 3"):
             read_qs("sites 1\ndim 3\n1 0 9\n")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("sites abc\ndim 3\n", "line 1: .*'abc'"),
+            ("sites 2\ndim x\n", "line 2: .*'x'"),
+            ("sites 1\ndim 3\n1 0 0\n1 0 y\n", "line 4: .*'y'"),
+            ("sites 1\ndim 2\n1 nan 0\n", "line 3: 'nan' is not a finite number"),
+            ("sites 1\ndim 2\n-inf 0 0\n", "line 3: '-inf' is not a finite number"),
+        ],
+        ids=["sites", "dim", "index", "nan", "inf"],
+    )
+    def test_malformed_numbers_carry_line_number(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            read_qs(text)
+
     def test_size_limit_checked_from_header(self):
         # 3**(10**9) amplitudes: refused on the header, before any allocation
         with pytest.raises(ValueError, match="line 2: 1000000000 sites"):

@@ -13,7 +13,6 @@ from qlctx.uniqueness import (
     check_uniqueness_rotated,
     counterfactual_complete,
     filter_outcome,
-    term_count,
 )
 
 CATALOG = ("psi2", "psi3", "psi4_1", "psi4_2", "psi4_3", "ghzm")
@@ -24,7 +23,7 @@ CATALOG = ("psi2", "psi3", "psi4_1", "psi4_2", "psi4_3", "ghzm")
                       ("psi4_1", 19), ("psi4_2", 12), ("psi4_3", 9)]
 )
 def test_term_counts(name, expected):
-    assert term_count(catalog_state(name)) == expected
+    assert check_uniqueness(catalog_state(name)).term_count == expected
 
 
 class TestFilter:
@@ -95,8 +94,9 @@ class TestCheckUniqueness:
     def test_unique_implies_term_count_at_most_dim(self):
         for name in CATALOG:
             psi = catalog_state(name)
-            if check_uniqueness(psi).overall:
-                assert term_count(psi) <= psi.site_dim
+            report = check_uniqueness(psi)
+            if report.overall:
+                assert report.term_count <= psi.site_dim
 
     def test_outcome_probabilities_sum_to_one(self):
         for name in CATALOG:
