@@ -1,6 +1,6 @@
-"""Multipartite spin states: a catalog of reference entangled states,
-total-spin operators, singlet (total-spin-zero) subspaces, and identical
-local rotations.
+"""Multipartite spin states: the catalog of reference entangled states
+(read from the bundled corpus files), total-spin operators, singlet
+(total-spin-zero) subspaces, and identical local rotations.
 
 Coefficient tensors are stored flattened in site-major order: the basis ket
 |k1 k2 ... kn> has flat index sum(ki * d**(n-1-i)).  Single-site levels are
@@ -28,8 +28,6 @@ SITE_LABELS = {2: ("+", "-"), 3: ("+", "0", "-")}
 
 MAX_TOTAL_DIM = 10_000
 
-CATALOG_NAMES = ("psi2", "psi3", "psi4_1", "psi4_2", "psi4_3", "ghzm")
-
 
 @dataclass(frozen=True, eq=False)
 class MultipartiteState:
@@ -53,9 +51,10 @@ class MultipartiteState:
                 f"coefficient vector has length {c.size}, "
                 f"expected {self.site_dim ** self.sites}"
             )
-        norm = np.linalg.norm(c)
+        with np.errstate(over="ignore"):  # _norm_error names an overflow
+            norm = np.linalg.norm(c)
         if norm == 0.0 or not np.isfinite(norm):
-            raise ValueError("state has zero norm")
+            raise ValueError(_norm_error(c, norm))
         c /= norm
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
@@ -89,78 +88,38 @@ class MultipartiteState:
     def terms(self) -> Iterator[tuple[complex, tuple[int, ...]]]:
         """Yield (amplitude, site digits) for each amplitude of magnitude
         above 1e-12, in flat-index order."""
-        shape = (self.site_dim,) * self.sites
-        for idx in np.flatnonzero(np.abs(self.coeffs) > 1e-12):
-            digits = np.unravel_index(int(idx), shape)
-            yield complex(self.coeffs[idx]), tuple(int(k) for k in digits)
+        tens = self.tensor_view()
+        digits = np.argwhere(np.abs(tens) > 1e-12)  # C order: flat-index order
+        for amp, row in zip(tens[tuple(digits.T)].tolist(), digits.tolist()):
+            yield amp, tuple(row)
 
 
-def from_terms(sites: int, site_dim: int, terms) -> MultipartiteState:
-    """Build a state from (amplitude, label-string) pairs; normalized on return."""
-    labels = SITE_LABELS[site_dim]
-    c = np.zeros(site_dim**sites, dtype=complex)
-    for amp, word in terms:
-        if len(word) != sites:
-            raise ValueError(f"term {word!r} has wrong length")
-        idx = 0
-        for ch in word:
-            idx = idx * site_dim + labels.index(ch)
-        c[idx] += amp
-    return MultipartiteState(sites, site_dim, c)
-
-
-_PSI2 = [(1, "+-"), (1, "-+"), (-1, "00")]
-
-_PSI3 = [
-    (1, "-+0"), (-1, "-0+"), (1, "+0-"), (-1, "+-0"), (1, "0-+"), (-1, "0+-"),
-]
-
-_PSI4_1 = (
-    [(2 / 3, "0000"), (1, "--++"), (1, "++--")]
-    + [(-1 / 2, w) for w in ("-00+", "0-0+", "-0+0", "0-+0",
-                             "0+-0", "+0-0", "0+0-", "+00-")]
-    + [(1 / 3, w) for w in ("00-+", "-+00", "+-00", "00+-")]
-    + [(1 / 6, w) for w in ("-+-+", "+--+", "-++-", "+-+-")]
-)
-
-_PSI4_2 = [
-    (1, "-00+"), (-1, "0-0+"), (-1, "0+0-"), (1, "+00-"),
-    (-1, "-0+0"), (1, "0-+0"), (1, "0+-0"), (-1, "+0-0"),
-    (1, "-++-"), (-1, "+-+-"), (-1, "-+-+"), (1, "+--+"),
-]
-
-_PSI4_3 = [
-    (1, "0000"), (-1, "00-+"), (-1, "-+00"), (-1, "+-00"), (-1, "00+-"),
-    (1, "+-+-"), (1, "-+-+"), (1, "+--+"), (1, "-++-"),
-]
-
-_GHZM = [(1, "+++"), (1, "---")]
-
-_CATALOG = {
-    "psi2": (2, 3, _PSI2),
-    "psi3": (3, 3, _PSI3),
-    "psi4_1": (4, 3, _PSI4_1),
-    "psi4_2": (4, 3, _PSI4_2),
-    "psi4_3": (4, 3, _PSI4_3),
-    "ghzm": (3, 2, _GHZM),
-}
+def _norm_error(c: np.ndarray, norm: float) -> str:
+    """Why a coefficient vector with norm 0 or not finite cannot be normalized."""
+    if np.isnan(c).any():
+        return "state has a NaN amplitude"
+    if norm == 0.0:
+        if not c.any():
+            return "state has zero norm"
+        return "state norm underflows to zero; scale the amplitudes up"
+    return "state norm overflows the floating-point range; scale the amplitudes down"
 
 
 def catalog_state(name: str) -> MultipartiteState:
-    """Reference states by name.
+    """Reference states by name, read from the bundled corpus files.
 
     psi2     three-term two-site spin-1 singlet (|+-> + |-+> - |00>)/sqrt(3)
     psi3     six-term three-site spin-1 singlet (the antisymmetric combination)
     psi4_*   the three four-site spin-1 singlet basis states
     ghzm     (|+++> + |--->)/sqrt(2) on three spin-1/2 quanta
     """
-    try:
-        sites, dim, terms = _CATALOG[name]
-    except KeyError:
+    from . import corpus
+
+    if name not in corpus.STATE_IDS:
         raise ValueError(
-            f"unknown catalog state {name!r}; choose from {CATALOG_NAMES}"
-        ) from None
-    return from_terms(sites, dim, terms)
+            f"unknown catalog state {name!r}; choose from {corpus.STATE_IDS}"
+        )
+    return corpus.load(name)
 
 
 def _site_operator(single: np.ndarray, site: int, sites: int) -> np.ndarray:
@@ -325,6 +284,7 @@ def is_form_invariant(
 # Amplitudes may be unnormalized; the state is normalized on load.
 
 
+@np.errstate(over="ignore")  # a sum past the float range is named on construction
 def read_qs(text: str) -> MultipartiteState:
     """Parse the .qs state format; raises ValueError with a line number."""
     sites = dim = coeffs = None

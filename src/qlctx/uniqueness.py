@@ -7,7 +7,10 @@ coefficient tensor on any single-site outcome of nonzero probability leaves
 every other site with a single possible outcome.
 
 The analysis here is exact on amplitudes (no sampling); an amplitude is
-treated as zero when its magnitude is below the given tolerance.
+treated as zero when its magnitude is not above the given tolerance.  Every
+possibility set, for the uniqueness check and for counterfactual
+completion alike, is read from one d×d occupancy table per site pair,
+filled from the digit rows of the K remaining amplitudes in O(K·n²).
 """
 
 from __future__ import annotations
@@ -51,24 +54,6 @@ def filter_outcome(
     return MultipartiteState(psi.sites, psi.site_dim, back.reshape(-1))
 
 
-def _amplitude_mask(psi: MultipartiteState, tol: float) -> np.ndarray:
-    """Boolean coefficient tensor: True where |amplitude| > tol."""
-    return np.abs(psi.tensor_view()) > tol
-
-
-def _supports(mask, site, level, labels):
-    """For site=level, the set of possible outcomes of every other site,
-    read off the amplitude mask."""
-    slab = np.moveaxis(mask, site, 0)[level]
-    others = [t for t in range(mask.ndim) if t != site]
-    out = {}
-    for axis, t in enumerate(others):
-        rest = tuple(ax for ax in range(slab.ndim) if ax != axis)
-        possible = np.any(slab, axis=rest) if rest else slab
-        out[t] = tuple(labels[j] for j in np.flatnonzero(possible))
-    return out
-
-
 @dataclass(frozen=True)
 class UniquenessReport:
     """Per-site uniqueness verdicts plus the conditioned possibility sets.
@@ -95,27 +80,45 @@ def check_uniqueness(psi: MultipartiteState, tol: float = 1e-9) -> UniquenessRep
     Raises ValueError when ``tol`` leaves no amplitude above it: an empty
     support has no outcomes, so no verdict rests on it.
     """
-    mask = _amplitude_mask(psi, tol)
-    if not mask.any():
+    possibilities, term_count = _possibilities(psi, tol)
+    if not term_count:
         raise ValueError(
             f"tolerance {tol} leaves no nonzero amplitude in the state"
         )
-    verdicts = []
+    verdicts = [True] * psi.sites
+    for (s, _), sups in possibilities.items():
+        if any(len(v) != 1 for v in sups.values()):
+            verdicts[s] = False
+    return UniquenessReport(tuple(verdicts), possibilities, term_count)
+
+
+def _possibilities(psi: MultipartiteState, tol: float) -> tuple[dict, int]:
+    """Possibility sets of every site outcome that has an amplitude above
+    ``tol``, keyed (site, label) in site then level order, and the number
+    of such amplitudes.
+
+    With the support's digit rows (one row of n levels per amplitude above
+    ``tol``), ``table[s, t, a, b]`` is True when some term has level a at
+    site s and level b at site t: one d×d table per site pair, filled in
+    O(K·n²) for K terms.  The diagonal ``table[s, s, a, a]`` says level a
+    is possible at site s.
+    """
+    digits = np.argwhere(np.abs(psi.tensor_view()) > tol)  # (K, n)
+    n, labels = psi.sites, psi.labels
+    table = np.zeros((n, n, psi.site_dim, psi.site_dim), dtype=bool)
+    sites = np.arange(n)
+    table[sites[:, None], sites, digits[:, :, None], digits[:, None, :]] = True
+    rows = table.tolist()
     possibilities: dict[tuple[int, str], dict[int, tuple[str, ...]]] = {}
-    for s in range(psi.sites):
-        site_ok = True
-        by_level = np.moveaxis(mask, s, 0)
-        for level, label in enumerate(psi.labels):
-            if not by_level[level].any():
-                continue
-            sups = _supports(mask, s, level, psi.labels)
-            possibilities[(s, label)] = sups
-            if any(len(v) != 1 for v in sups.values()):
-                site_ok = False
-        verdicts.append(site_ok)
-    return UniquenessReport(
-        tuple(verdicts), possibilities, int(np.count_nonzero(mask))
-    )
+    for s in range(n):
+        for a, label in enumerate(labels):
+            if rows[s][s][a][a]:
+                possibilities[(s, label)] = {
+                    t: tuple(lab for lab, hit in zip(labels, rows[s][t][a]) if hit)
+                    for t in range(n)
+                    if t != s
+                }
+    return possibilities, len(digits)
 
 
 @dataclass(frozen=True)
@@ -174,8 +177,8 @@ def counterfactual_complete(
     Raises NullFilterError when the observed outcome has zero probability.
     """
     filtered = filter_outcome(psi, site, outcome, tol)  # raises on null filter
-    level = psi.label_index(outcome)
-    sups = _supports(_amplitude_mask(filtered, tol), site, level, psi.labels)
+    label = psi.labels[psi.label_index(outcome)]
+    sups = _possibilities(filtered, tol)[0][(site, label)]
     determined = {t: v[0] for t, v in sups.items() if len(v) == 1}
     ambiguous = {t: v for t, v in sups.items() if len(v) != 1}
-    return CounterfactualOutcome(site, psi.labels[level], determined, ambiguous)
+    return CounterfactualOutcome(site, label, determined, ambiguous)

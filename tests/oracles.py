@@ -1,9 +1,10 @@
-"""Test oracles and generators for the two-valued-state layer.
+"""Test oracles and generators for the two-valued-state and spin-state
+layers.
 
 None of this has a caller in the product: the exhaustive enumeration
 oracle, the frozenset backtracker that the bitmask enumeration replaced,
-the random-diagram generator and the diagram families with closed-form
-state counts.
+the random-diagram generator, the diagram families with closed-form
+state counts, and spin states built from label words.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 import numpy as np
 
 from qlctx.logic import GreechieDiagram, make_diagram
+from qlctx.states import SITE_LABELS, MultipartiteState
 
 MAX_ORACLE_ATOMS = 28
 
@@ -148,3 +150,17 @@ def ceg18() -> GreechieDiagram:
         if all(orthogonal(i, j) for i, j in itertools.combinations(quad, 2))
     ]
     return make_diagram(bases, name="CEG-18")
+
+
+def from_terms(sites: int, site_dim: int, terms) -> MultipartiteState:
+    """Build a state from (amplitude, label-string) pairs; normalized on return."""
+    labels = SITE_LABELS[site_dim]
+    c = np.zeros(site_dim**sites, dtype=complex)
+    for amp, word in terms:
+        if len(word) != sites:
+            raise ValueError(f"term {word!r} has wrong length")
+        idx = 0
+        for ch in word:
+            idx = idx * site_dim + labels.index(ch)
+        c[idx] += amp
+    return MultipartiteState(sites, site_dim, c)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -210,7 +211,7 @@ class TestStateConstructors:
         assert result.exit_code == 2
 
     def test_catalog_json(self):
-        for name in ("psi4_1", "ghzm"):
+        for name in ("psi3", "psi4_1", "psi4_2", "psi4_3", "ghzm"):
             result = run("catalog", name, "--json")
             assert result.exit_code == 0
             check_golden(f"catalog_{name}.json", result.output)
@@ -323,6 +324,25 @@ class TestBadInputExits2:
         result = run("uniq", "check", qs)
         assert_usage_error(result, "line 2: 9 sites of dimension 3 exceed "
                                    "the total dimension limit 10000")
+
+    @pytest.mark.parametrize(
+        "terms,message",
+        [
+            # the two amplitudes of one ket sum past the largest float
+            ("1e308 0 0\n1e308 0 0\n", "state norm overflows"),
+            # a nonzero amplitude whose square underflows to zero
+            ("1e-320 0 0\n", "state norm underflows to zero"),
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_qs_norm_out_of_range(self, tmp_path, terms, message):
+        qs = tmp_path / "range.qs"
+        qs.write_text("sites 1\ndim 2\n" + terms)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would raise
+            result = run("uniq", "check", qs)
+        assert_usage_error(result, message)
+        assert "zero norm" not in result.output
 
     def test_uniq_negative_tol(self):
         # a negative tolerance would count every amplitude as nonzero and

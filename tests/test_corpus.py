@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,8 @@ from qlctx.realizability import saturate_orthogonality
 from qlctx.states import MultipartiteState, catalog_state
 
 from oracles import oracle_two_valued, random_diagram
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestEntries:
@@ -31,9 +36,22 @@ class TestEntries:
         "name", ["psi2", "psi3", "psi4_1", "psi4_2", "psi4_3", "ghzm"]
     )
     def test_state_files_match_catalog(self, name):
-        loaded = corpus.load(name)
-        built = catalog_state(name)
-        assert np.allclose(loaded.coeffs, built.coeffs)
+        # the corpus file is the catalog: it loads bit for bit to the
+        # normalized amplitudes pinned by the `catalog` golden
+        psi = catalog_state(name)
+        if name == "psi2":
+            rows = (GOLDEN / "catalog_psi2.qs").read_text().splitlines()[3:]
+            terms = [(complex(float(re), float(im)), tuple(map(int, digits)))
+                     for re, im, *digits in map(str.split, rows)]
+        else:
+            pinned = json.loads((GOLDEN / f"catalog_{name}.json").read_text())
+            terms = [(complex(t["re"], t["im"]), tuple(t["indices"]))
+                     for t in pinned["terms"]]
+        want = np.zeros((psi.site_dim,) * psi.sites, dtype=complex)
+        for amp, digits in terms:
+            want[digits] = amp
+        assert psi.coeffs.tobytes() == want.reshape(-1).tobytes()
+        assert corpus.load(name).coeffs.tobytes() == psi.coeffs.tobytes()
 
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown corpus id"):

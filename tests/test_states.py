@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from functools import reduce
 from math import comb
 
@@ -11,13 +12,14 @@ from qlctx.states import (
     apply_identical_local,
     apply_local,
     catalog_state,
-    from_terms,
     is_form_invariant,
     read_qs,
     singlet_subspace,
     spin_total_operators,
     write_qs,
 )
+
+from oracles import from_terms
 
 
 def dense_singlet_kernel(d, n, tol=1e-9):
@@ -322,10 +324,54 @@ class TestStateFiles:
         assert read_qs("sites 8\ndim 3\n1 0" + " 0" * 8 + "\n").sites == 8
 
 
+class TestTerms:
+    @staticmethod
+    def flat_listing(psi):
+        """Oracle: the flat-index listing that ``terms`` replaced."""
+        shape = (psi.site_dim,) * psi.sites
+        out = []
+        for idx in np.flatnonzero(np.abs(psi.coeffs) > 1e-12):
+            digits = np.unravel_index(int(idx), shape)
+            out.append((complex(psi.coeffs[idx]), tuple(int(k) for k in digits)))
+        return out
+
+    def test_rotated_states_list_like_flat_indices(self):
+        rng = np.random.default_rng(31)
+        states = [catalog_state(name) for name in
+                  ("psi2", "psi3", "psi4_1", "psi4_2", "psi4_3", "ghzm")]
+        states += [from_terms(1, 3, [(1, "0")]),
+                   from_terms(7, 3, [(1, "+0-+0-+")]),
+                   from_terms(12, 2, [(1, "+" * 12), (1, "-" * 12)])]
+        for psi in states:
+            for u in (np.eye(psi.site_dim), rotation_unitary(
+                    psi.site_dim, rng.standard_normal(3), rng.uniform(0, 6))):
+                rotated = apply_identical_local(psi, u)
+                got = list(rotated.terms())
+                assert got == self.flat_listing(rotated)
+                assert all(type(a) is complex and
+                           all(type(k) is int for k in digits)
+                           for a, digits in got)
+
+
 class TestStateValue:
     def test_zero_state_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="state has zero norm"):
             MultipartiteState(1, 2, np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "coeffs,message",
+        [
+            ([1e-320, 0], "state norm underflows to zero"),
+            ([1e308, 1e308], "state norm overflows"),
+            ([np.inf, 0], "state norm overflows"),
+            ([np.nan, 1], "state has a NaN amplitude"),
+        ],
+    )
+    def test_norm_errors_name_the_cause(self, coeffs, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                MultipartiteState(1, 2, coeffs)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from qlctx.states import (
     MultipartiteState,
     apply_identical_local,
     catalog_state,
-    from_terms,
+    sample_rotation,
 )
 from qlctx.uniqueness import (
     NullFilterError,
@@ -14,6 +14,8 @@ from qlctx.uniqueness import (
     counterfactual_complete,
     filter_outcome,
 )
+
+from oracles import from_terms
 
 CATALOG = ("psi2", "psi3", "psi4_1", "psi4_2", "psi4_3", "ghzm")
 
@@ -231,6 +233,26 @@ class TestAgainstReference:
                 rotated = apply_identical_local(catalog_state(name),
                                                 entry.rotation.unitary)
                 self._agree(rotated)
+
+    def test_benchmark_sized_rotated_states(self):
+        # the shapes the spin benchmark checks: a 12-site spin-1/2 GHZ state
+        # and a 7-site spin-1 product state, each rotated to a dense state
+        rng = np.random.default_rng(17)
+        ghz = from_terms(12, 2, [(1, "+" * 12), (1, "-" * 12)])
+        product = from_terms(7, 3, [(1, "+0-+0-+")])
+        for psi in (ghz, product):
+            u = sample_rotation(psi.site_dim, rng).unitary
+            rotated = apply_identical_local(psi, u)
+            assert check_uniqueness(rotated).term_count == psi.site_dim**psi.sites
+            self._agree(rotated)
+            self._agree(psi)
+
+    def test_zero_tolerance_on_dense_state(self):
+        rng = np.random.default_rng(23)
+        psi = apply_identical_local(from_terms(5, 3, [(1, "+0-0+")]),
+                                    sample_rotation(3, rng).unitary)
+        for tol in (0.0, 1e-3, 0.05):
+            self._agree(psi, tol)
 
     def test_counterfactual_matches_reference_possibilities(self):
         # completion reads the renormalized filtered state, so the oracle
