@@ -223,7 +223,8 @@ def apply_local(psi: MultipartiteState, unitaries) -> MultipartiteState:
         u = np.asarray(u, dtype=complex)
         if u.shape != (psi.site_dim, psi.site_dim):
             raise ValueError("unitary has wrong shape for the site dimension")
-        if unitarity_defect(u) > 1e-9:
+        # written so that a NaN defect fails too
+        if not unitarity_defect(u) <= 1e-9:
             raise ValueError("matrix is not unitary")
         mats.append(u)
     t = psi.tensor_view()

@@ -1,10 +1,12 @@
-"""Test oracles and generators for the two-valued-state and spin-state
-layers.
+"""Test oracles and generators for the two-valued-state, realization and
+spin-state layers.
 
 None of this has a caller in the product: the exhaustive enumeration
 oracle, the frozenset backtracker that the bitmask enumeration replaced,
 the random-diagram generator, the diagram families with closed-form
-state counts, and spin states built from label words.
+state counts, the saturation scan, the one-atom-at-a-time polish and
+scipy's L-BFGS-B that the realization search replaced, and spin states
+built from label words.
 """
 
 from __future__ import annotations
@@ -164,3 +166,84 @@ def from_terms(sites: int, site_dim: int, terms) -> MultipartiteState:
             idx = idx * site_dim + labels.index(ch)
         c[idx] += amp
     return MultipartiteState(sites, site_dim, c)
+
+
+def reference_saturate_orthogonality(diagram: GreechieDiagram):
+    """The saturation scan that the neighbour-set intersection replaced:
+    every pair of atoms, in atom order, against every atom."""
+    from qlctx.realizability import SaturationOutcome, SaturationStep
+
+    provenance: dict[frozenset, int] = {}
+    neighbours: dict[str, set[str]] = {a: set() for a in diagram.atoms}
+    for ci, ctx in enumerate(diagram.contexts):
+        for x, y in itertools.combinations(ctx, 2):
+            neighbours[x].add(y)
+            neighbours[y].add(x)
+            provenance.setdefault(frozenset((x, y)), ci)
+
+    def cite(x, y):
+        ci = provenance[frozenset((x, y))]
+        return f"{x} ⊥ {y}  (context {ci + 1}: {' '.join(diagram.contexts[ci])})"
+
+    for u, w in itertools.combinations(diagram.atoms, 2):
+        if w not in neighbours[u]:
+            continue
+        shared = [
+            x for x in diagram.atoms
+            if x not in (u, w) and x in neighbours[u] and x in neighbours[w]
+        ]
+        if len(shared) >= 2:
+            x, y = shared[0], shared[1]
+            reasons = (
+                cite(u, w), cite(x, u), cite(x, w), cite(y, u), cite(y, w),
+            )
+            step = SaturationStep((x, y), (u, w), reasons)
+            return SaturationOutcome("contradiction", (step,))
+    return SaturationOutcome("no_contradiction")
+
+
+def scipy_minimize(fun, x0, args=()):
+    """scipy's L-BFGS-B with the search's limits: the minimizer that the
+    in-house L-BFGS replaced.  Same call and result fields as
+    ``realizability.minimize``."""
+    from scipy.optimize import minimize
+
+    from qlctx import realizability as rz
+
+    return minimize(fun, x0, args=args, jac=True, method="L-BFGS-B",
+                    options={"maxiter": rz.MAXITER, "maxfun": rz.MAXFUN,
+                             "ftol": rz.FTOL, "gtol": rz.GTOL})
+
+
+def sequential_polish(vm, orth_mask, offdiag, t2, complex_space, sweeps=60):
+    """The polish that the colour-batched one replaced: one atom per
+    ``eigh``, in atom order; only sweeps that lower the penalty are kept."""
+    from qlctx.realizability import _apply_j, _penalty_of
+
+    orth_sets = [np.flatnonzero(row) for row in orth_mask]
+    best = vm.copy()
+    best_pen = _penalty_of(vm, orth_mask, offdiag, t2, complex_space)
+    cur = vm.copy()
+    for _ in range(sweeps):
+        for a, nbrs in enumerate(orth_sets):
+            if nbrs.size == 0:
+                continue
+            cols = cur[nbrs]
+            mat = cols.T @ cols
+            if complex_space:
+                jcols = _apply_j(cols)
+                mat = mat + jcols.T @ jcols
+            _, vecs = np.linalg.eigh(mat)
+            v = vecs[:, 0]
+            lead = int(np.argmax(np.abs(v)))
+            if v[lead] < 0:
+                v = -v
+            cur[a] = v
+        pen = _penalty_of(cur, orth_mask, offdiag, t2, complex_space)
+        if pen >= best_pen:
+            break
+        best_pen = pen
+        best = cur.copy()
+        if best_pen == 0.0:
+            break
+    return best, best_pen

@@ -462,3 +462,19 @@ class TestLeanImports:
     def test_corpus_diagram_leaves_out_numpy_and_scipy(self):
         code = "from qlctx import corpus\ncorpus.load('fig1')"
         assert _heavy_modules_after(code) == []
+
+    def test_realize_leaves_out_scipy(self):
+        code = ("from qlctx.cli import main\n"
+                f"main(['realize', {str(corpus.data_path('fig2a'))!r}, '--dim', '3',"
+                " '--restarts', '2', '--json'], standalone_mode=False)")
+        assert _heavy_modules_after(code) == ["numpy"]
+
+    def test_realize_runs_with_scipy_unimportable(self):
+        code = ("import sys\nsys.modules['scipy'] = None\n"
+                "from qlctx.cli import main\n"
+                f"main(['realize', {str(corpus.data_path('fig2a'))!r}, '--dim', '3',"
+                " '--restarts', '2', '--json'])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["success"] is True

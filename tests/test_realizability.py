@@ -1,14 +1,31 @@
+import math
+
 import numpy as np
 import pytest
 
-from qlctx import corpus
+from oracles import (
+    random_diagram,
+    reference_saturate_orthogonality,
+    scipy_minimize,
+    sequential_polish,
+    tripod_chain,
+    tripod_ring,
+)
+from qlctx import corpus, realizability
 from qlctx.logic import make_diagram
 from qlctx.realizability import (
+    LINE_SEARCH_EVALS,
+    MAXFUN,
+    MAXITER,
     Realization,
     SUCCESS_PENALTY,
+    _colour_classes,
+    _penalty_of,
+    _polish,
     _value_and_grad,
     born_probabilities,
     load_realization,
+    minimize,
     saturate_orthogonality,
     save_realization,
     search_realization,
@@ -28,6 +45,26 @@ def fig1_vectors(phi):
         },
         "real",
     )
+
+
+def orthogonality_mask(diagram):
+    n = len(diagram.atoms)
+    index = {a: i for i, a in enumerate(diagram.atoms)}
+    orth = np.zeros((n, n), dtype=bool)
+    for ctx in diagram.contexts:
+        for x in ctx:
+            for y in ctx:
+                orth[index[x], index[y]] = x != y
+    return orth
+
+
+def tadpole(tail: int):
+    """A tripod triangle with a chain of ``tail`` tripods, listed first,
+    hanging off one of its middle legs: refutable by saturation."""
+    chain = [(f"t{i}", f"s{i}", f"t{i + 1}") for i in range(tail)]
+    chain[-1] = (f"t{tail - 1}", f"s{tail - 1}", "m0")
+    return make_diagram(chain + [("c0", "m0", "c1"), ("c1", "m1", "c2"),
+                                 ("c2", "m2", "c0")])
 
 
 class TestSaturation:
@@ -58,6 +95,26 @@ class TestSaturation:
     def test_requires_dim3(self):
         with pytest.raises(ValueError):
             saturate_orthogonality(make_diagram([("a", "b"), ("b", "c")]))
+
+    def test_matches_pair_scan_on_random_diagrams(self):
+        rng = np.random.default_rng(0)
+        verdicts = set()
+        for _ in range(200):
+            d = random_diagram(rng)
+            outcome = saturate_orthogonality(d)
+            assert outcome == reference_saturate_orthogonality(d)
+            verdicts.add(outcome.verdict)
+        assert verdicts == {"contradiction", "no_contradiction"}
+
+    @pytest.mark.parametrize("diagram", [
+        tadpole(150), tripod_chain(150), corpus.load("fig1"),
+        corpus.load("fig2a"), corpus.load("fig2b"), corpus.load("fig3"),
+        tripod_ring(3),
+    ], ids=["tadpole150", "chain150", "fig1", "fig2a", "fig2b", "fig3",
+            "triangle"])
+    def test_matches_pair_scan(self, diagram):
+        assert saturate_orthogonality(diagram) == \
+            reference_saturate_orthogonality(diagram)
 
 
 class TestSearch:
@@ -102,17 +159,21 @@ class TestSearch:
         result = search_realization(d, 3, seed=0, restarts=2)
         assert result.success
 
+    # the searches the CLI tests and the benchmark's cli workload run
+    @pytest.mark.parametrize("name, restarts", [
+        ("fig1", 3), ("fig1", 5), ("fig2a", 2), ("fig2a", 4), ("fig2a", 5),
+    ])
+    def test_seed_0_searches_succeed(self, name, restarts):
+        d = corpus.load(name)
+        result = search_realization(d, 3, seed=0, restarts=restarts)
+        assert result.success
+        assert verify_realization(d, result.realization)[0]
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         d = corpus.load("fig2b")
         n = len(d.atoms)
-        orth = np.zeros((n, n), dtype=bool)
-        index = {a: i for i, a in enumerate(d.atoms)}
-        for ctx in d.contexts:
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    orth[index[ctx[i]], index[ctx[j]]] = True
-                    orth[index[ctx[j]], index[ctx[i]]] = True
+        orth = orthogonality_mask(d)
         offdiag = ~np.eye(n, dtype=bool)
         for complex_space in (False, True):
             width = 6 if complex_space else 3
@@ -127,6 +188,147 @@ class TestSearch:
                 fd = (_value_and_grad(xp, *args)[0]
                       - _value_and_grad(xm, *args)[0]) / (2 * eps)
                 assert abs(fd - grad[k]) < 1e-5
+
+
+class TestMinimize:
+    def test_convex_quadratic_reaches_minimizer(self):
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+        a = q @ np.diag(np.linspace(1e3, 1e4, 10)) @ q.T
+        target = rng.standard_normal(10)
+
+        def fun(x):
+            return 0.5 * (x - target) @ a @ (x - target), a @ (x - target)
+
+        result = minimize(fun, np.zeros(10))
+        assert np.max(np.abs(result.x - target)) <= 1e-10
+        assert result.nit <= MAXITER
+        assert result.nfev <= MAXFUN + LINE_SEARCH_EVALS
+
+    def test_nan_region_is_a_step_too_long(self):
+        # the value is NaN for x0 < 0, where the unconstrained minimizer is
+        def fun(x):
+            value = math.nan if x[0] < 0 else (x[0] + 1) ** 2 + x[1] ** 2
+            return value, np.array([2 * (x[0] + 1), 2 * x[1]])
+
+        x0 = np.array([0.01, 1.0])
+        result = minimize(fun, x0)
+        assert np.isfinite(result.x).all()
+        assert math.isfinite(result.fun)
+        assert result.fun <= fun(x0)[0]
+
+    def test_search_calls_minimize_through_the_module(self, monkeypatch):
+        # benchmark tracing replaces realizability.minimize by name and
+        # reads nit and nfev from what it returns
+        calls = []
+
+        def counted(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            calls.append((result.nit, result.nfev))
+            return result
+
+        monkeypatch.setattr(realizability, "minimize", counted)
+        search_realization(corpus.load("fig1"), 3, seed=0, restarts=3)
+        assert len(calls) == 3
+        assert all(nit >= 1 and nfev >= nit for nit, nfev in calls)
+
+
+# chains and rings of tripods are realizable in R^3 and C^3
+WITNESS_GRID = [(make, n, complex_space, seed)
+                for make, n in ((tripod_chain, 4), (tripod_chain, 6),
+                                (tripod_chain, 8), (tripod_ring, 6),
+                                (tripod_ring, 8))
+                for complex_space in (False, True) for seed in (0, 1)]
+
+
+def witness_count(monkeypatch, minimizer, restarts=10):
+    monkeypatch.setattr(realizability, "minimize", minimizer)
+    found = 0
+    for make, n, complex_space, seed in WITNESS_GRID:
+        result = search_realization(make(n), 3, seed=seed, restarts=restarts,
+                                    complex_space=complex_space)
+        found += sum(p < SUCCESS_PENALTY for p in result.restart_penalties)
+    return found
+
+
+class TestAgainstScipy:
+    def test_finds_as_many_witnesses_as_lbfgsb_less_5_percent(self, monkeypatch):
+        restarts = 10
+        ours = witness_count(monkeypatch, minimize, restarts)
+        theirs = witness_count(monkeypatch, scipy_minimize, restarts)
+        run = len(WITNESS_GRID) * restarts
+        assert ours >= theirs - 0.05 * run, (ours, theirs, run)
+
+
+class TestPolish:
+    @pytest.mark.parametrize("complex_space", [False, True])
+    def test_never_raises_the_penalty(self, complex_space):
+        rng = np.random.default_rng(5)
+        width = 6 if complex_space else 3
+        for d in (tripod_chain(6), tripod_ring(8), corpus.load("fig2b"),
+                  corpus.load("fig3")):
+            orth = orthogonality_mask(d)
+            offdiag = ~np.eye(len(orth), dtype=bool)
+            classes = _colour_classes(orth)
+            for _ in range(5):
+                vm = rng.standard_normal((len(orth), width))
+                vm /= np.linalg.norm(vm, axis=1, keepdims=True)
+                start = _penalty_of(vm, orth, offdiag, 0.95**2, complex_space)
+                out, pen = _polish(vm, classes, orth, offdiag, 0.95**2,
+                                   complex_space)
+                assert pen <= start
+                assert pen == _penalty_of(out, orth, offdiag, 0.95**2,
+                                          complex_space)
+                assert np.allclose(np.linalg.norm(out, axis=1), 1.0)
+
+    @pytest.mark.parametrize("diagram, complex_space", [
+        (tripod_chain(6), False), (tripod_ring(8), True),
+        (corpus.load("fig2a"), False),
+    ], ids=["chain6", "ring8-complex", "fig2a"])
+    def test_restores_a_perturbed_witness(self, diagram, complex_space):
+        found = search_realization(diagram, 3, seed=0, restarts=4,
+                                   complex_space=complex_space)
+        vectors = [found.realization.vectors[a] for a in diagram.atoms]
+        vm = np.array([np.concatenate([v.real, v.imag]) if complex_space
+                       else v.real for v in vectors])
+        vm += 1e-3 * np.random.default_rng(1).standard_normal(vm.shape)
+        vm /= np.linalg.norm(vm, axis=1, keepdims=True)
+        orth = orthogonality_mask(diagram)
+        offdiag = ~np.eye(len(orth), dtype=bool)
+        assert _penalty_of(vm, orth, offdiag, 0.95**2, complex_space) > 1e-6
+        _, pen = _polish(vm, _colour_classes(orth), orth, offdiag, 0.95**2,
+                         complex_space)
+        assert pen < SUCCESS_PENALTY
+
+    def test_colour_classes_share_no_context(self):
+        for d in (tripod_chain(8), tripod_ring(7), corpus.load("fig3"),
+                  make_diagram([("a", "b", "c"), ("d", "e", "f")])):
+            orth = orthogonality_mask(d)
+            classes = _colour_classes(orth)
+            covered = np.concatenate(classes)
+            assert sorted(covered) == list(np.flatnonzero(orth.any(axis=1)))
+            for atoms in classes:
+                assert not orth[np.ix_(atoms, atoms)].any()
+
+    def test_succeeds_wherever_sequential_polish_does(self, monkeypatch):
+        # both polishes start from the same L-BFGS end points
+        pairs = []
+
+        def both(vm, classes, orth_mask, offdiag, t2, complex_space):
+            batched = _polish(vm, classes, orth_mask, offdiag, t2, complex_space)
+            _, sequential = sequential_polish(vm, orth_mask, offdiag, t2,
+                                              complex_space)
+            pairs.append((batched[1], sequential))
+            return batched
+
+        monkeypatch.setattr(realizability, "_polish", both)
+        for make, n, complex_space, seed in WITNESS_GRID:
+            search_realization(make(n), 3, seed=seed, restarts=4,
+                               complex_space=complex_space)
+        assert any(sequential < SUCCESS_PENALTY for _, sequential in pairs)
+        for batched, sequential in pairs:
+            if sequential < SUCCESS_PENALTY:
+                assert batched < SUCCESS_PENALTY
 
 
 class TestSoundness:
@@ -190,6 +392,13 @@ class TestVerify:
         with pytest.raises(ValueError, match="dimensions"):
             verify_realization(corpus.load("fig1"), real)
 
+    def test_non_finite_vector_raises(self):
+        # NaN overlaps compare False against every tolerance
+        real = Realization({a: np.full(3, np.nan, dtype=complex)
+                            for a in corpus.load("fig1").atoms})
+        with pytest.raises(ValueError, match="not finite"):
+            verify_realization(corpus.load("fig1"), real)
+
 
 class TestBorn:
     def test_state_on_shared_leg(self):
@@ -225,6 +434,14 @@ class TestBorn:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             born_probabilities(fig1_vectors(1.0), [1, 0, 0, 0])
+
+    def test_non_finite_state_or_vector_raises(self):
+        with pytest.raises(ValueError, match="state vector is not finite"):
+            born_probabilities(fig1_vectors(1.0), [np.nan, 0, 0])
+        real = fig1_vectors(1.0)
+        real.vectors["K"] = np.array([np.inf, 0, 0])
+        with pytest.raises(ValueError, match="'K' is not finite"):
+            born_probabilities(real, [0, 0, 1])
 
 
 class TestSerialization:

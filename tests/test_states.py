@@ -215,6 +215,11 @@ class TestLocalRotations:
         with pytest.raises(ValueError):
             apply_identical_local(catalog_state("psi2"), np.ones((3, 3)))
 
+    def test_rejects_nan_matrix(self):
+        # a NaN unitarity defect compares False against the tolerance
+        with pytest.raises(ValueError, match="matrix is not unitary"):
+            apply_identical_local(catalog_state("psi2"), np.full((3, 3), np.nan))
+
     def test_per_site_rotations(self):
         psi = catalog_state("psi2")
         u = rotation_unitary(3, [0, 1, 0], 0.4)
