@@ -16,8 +16,11 @@ Two complementary deciders are provided:
   orthogonality-plus-collinearity penalty over a product of unit spheres
   from seeded random restarts: L-BFGS descent (``minimize``, numpy only)
   followed by a block-coordinate polish that moves one colour class of
-  atoms per stacked eigensolve.  Success is a proof; failure is only
-  evidence and is reported as "no witness found" with the best residual.
+  atoms per stacked eigensolve.  All restarts of a block advance together:
+  one stacked penalty evaluation per L-BFGS step and one stacked polish,
+  with each restart's result independent of the batch it runs in.
+  Success is a proof; failure is only evidence and is reported as "no
+  witness found" with the best residual.
 """
 
 from __future__ import annotations
@@ -34,6 +37,12 @@ from .logic import GreechieDiagram
 
 DISTINCTNESS_MARGIN = 0.05
 SUCCESS_PENALTY = 1e-12
+# the most float cells one block of search restarts may hold: a restart
+# counts n x n cells for its rows of the stacked overlap arrays or, when
+# that is more, n x 2·MEMORY·w for its L-BFGS pairs.  One stacked array
+# stays within 512 KB, and a 150-tripod chain (301 atoms) runs one restart
+# per block
+BATCH_CELLS = 1 << 16
 
 
 # --- saturation -------------------------------------------------------------
@@ -132,38 +141,52 @@ def _apply_j(v: np.ndarray) -> np.ndarray:
     return np.concatenate([v[..., d:], -v[..., :d]], axis=-1)
 
 
-def _penalty_terms(vmat, orth_mask, offdiag, t2, complex_space):
-    c = vmat @ vmat.T
+def _penalty_parts(vm, orth_mask, offdiag, t2, complex_space):
+    """Overlap parts and penalty of stacked unit vectors ``vm`` (R, n, w).
+
+    Returns c = Re<u, v>, s = Im<u, v> (None in real space), the active
+    hinge mask, and each row's penalty.  A row's terms are added by
+    ``math.fsum``, which rounds exactly, because a restart's result must
+    not depend on which other restarts share its batch: numpy's
+    ``m[:, mask].sum(axis=1)`` runs its inner loop down the batch axis
+    and rounds differently for different R.
+    """
+    c = vm @ vm.transpose(0, 2, 1)
+    m = c * c
+    s = None
     if complex_space:
-        s = vmat @ _apply_j(vmat).T
-    else:
-        s = np.zeros_like(c)
-    m = c * c + s * s
-    orth_pen = float(m[orth_mask].sum()) / 2.0
+        s = vm @ _apply_j(vm).transpose(0, 2, 1)
+        m += s * s
     excess = m - t2
     active = (excess > 0.0) & offdiag
-    hinge_pen = float(excess[active].sum()) / 2.0
-    return c, s, m, active, orth_pen + hinge_pen
+    hinge = excess[active].tolist()
+    ends = itertools.accumulate(np.count_nonzero(active, axis=(1, 2)).tolist())
+    pens, start = [], 0
+    for row, end in zip(m[:, orth_mask].tolist(), ends):
+        pens.append(math.fsum(row + hinge[start:end]) / 2.0)
+        start = end
+    return c, s, active, np.array(pens)
 
 
 def _value_and_grad(x, n, width, orth_mask, offdiag, t2, complex_space):
-    xm = x.reshape(n, width)
-    norms = np.linalg.norm(xm, axis=1, keepdims=True)
+    """Penalties (R,) and gradients (R, N) of R stacked points (R, N)."""
+    xm = x.reshape(len(x), n, width)
+    norms = np.linalg.norm(xm, axis=2, keepdims=True)
     vm = xm / norms
-    c, s, _, active, penalty = _penalty_terms(
+    c, s, active, penalty = _penalty_parts(
         vm, orth_mask, offdiag, t2, complex_space
     )
-    omega = orth_mask.astype(float) + active.astype(float)
+    omega = orth_mask.astype(float) + active
     gv = 2.0 * (omega * c) @ vm
     if complex_space:
         gv += 2.0 * (omega * s) @ _apply_j(vm)
-    radial = np.sum(vm * gv, axis=1, keepdims=True)
+    radial = np.sum(vm * gv, axis=2, keepdims=True)
     gx = (gv - radial * vm) / norms
-    return penalty, gx.ravel()
+    return penalty, gx.reshape(len(x), -1)
 
 
-def _penalty_of(vm, orth_mask, offdiag, t2, complex_space) -> float:
-    return _penalty_terms(vm, orth_mask, offdiag, t2, complex_space)[4]
+def _penalty_of(vm, orth_mask, offdiag, t2, complex_space) -> np.ndarray:
+    return _penalty_parts(vm, orth_mask, offdiag, t2, complex_space)[3]
 
 
 def _colour_classes(orth_mask) -> list[np.ndarray]:
@@ -185,28 +208,38 @@ def _colour_classes(orth_mask) -> list[np.ndarray]:
 
 
 def _polish(vm, classes, orth_mask, offdiag, t2, complex_space, sweeps=60):
-    """Block-coordinate descent: each atom moves to the smallest eigenvector
-    of its neighbours' projector sum, one colour class per stacked ``eigh``.
-    Only sweeps that lower the full penalty (hinges included) are kept."""
+    """Block-coordinate descent on stacked unit vectors ``vm`` (R, n, w):
+    each atom moves to the smallest eigenvector of its neighbours' projector
+    sum, one colour class of every row per stacked ``eigh``.  A row stops at
+    its first sweep that does not lower its full penalty (hinges included)
+    and keeps the vectors from before that sweep.  Returns the vectors and
+    the penalties (R,)."""
+    rows, n, width = vm.shape
     weights = [orth_mask[atoms].astype(float) for atoms in classes]
     best = vm.copy()
     best_pen = _penalty_of(vm, orth_mask, offdiag, t2, complex_space)
+    live = np.arange(rows)
     cur = vm.copy()
     for _ in range(sweeps):
         for atoms, weight in zip(classes, weights):
-            mats = np.einsum("ab,bi,bj->aij", weight, cur, cur)
+            outer = cur[..., :, None] * cur[..., None, :]
             if complex_space:
                 jcur = _apply_j(cur)
-                mats += np.einsum("ab,bi,bj->aij", weight, jcur, jcur)
-            v = np.linalg.eigh(mats)[1][:, :, 0]
-            lead = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
-            cur[atoms] = np.where(lead[:, None] < 0, -v, v)
+                outer += jcur[..., :, None] * jcur[..., None, :]
+            mats = weight @ outer.reshape(len(cur), n, width * width)
+            mats = mats.reshape(len(cur), len(atoms), width, width)
+            v = np.linalg.eigh(mats)[1][..., 0]
+            lead = np.take_along_axis(
+                v, np.argmax(np.abs(v), axis=2)[..., None], axis=2
+            )
+            cur[:, atoms] = np.where(lead < 0, -v, v)
         pen = _penalty_of(cur, orth_mask, offdiag, t2, complex_space)
-        if pen >= best_pen:
-            break
-        best_pen = pen
-        best = cur.copy()
-        if best_pen == 0.0:
+        lower = pen < best_pen[live]
+        best[live[lower]] = cur[lower]
+        best_pen[live[lower]] = pen[lower]
+        going = lower & (pen != 0.0)
+        live, cur = live[going], cur[going]
+        if not live.size:
             break
     return best, best_pen
 
@@ -228,11 +261,11 @@ NARROW_BRACKET = 0.1
 
 @dataclass(frozen=True, eq=False)
 class Minimum:
-    """Where ``minimize`` stopped: the point, its value, and the iterations
-    and function evaluations it took."""
+    """Where ``minimize`` stopped: every row's end point (R, N) and value
+    (R,), and the iterations and function evaluations of all rows."""
 
     x: np.ndarray
-    fun: float
+    fun: np.ndarray
     nit: int
     nfev: int
 
@@ -251,8 +284,9 @@ def _cubic_step(a, fa, ga, b, fb, gb):
     return b - (b - a) * (gb + d2 - d1) / denom
 
 
-def _line_search(fun, args, x, f0, g0, d, step):
-    """Strong Wolfe search along ``d`` from trial step ``step``.
+def _line_search(x, f0, g0, d, step):
+    """Strong Wolfe search along ``d`` from trial step ``step``, as a
+    generator: it yields each trial point and is sent its (f, grad).
 
     Returns (x, f, g, evaluations), with x None when no step was accepted
     within LINE_SEARCH_EVALS evaluations.  The bracket runs between the
@@ -270,7 +304,7 @@ def _line_search(fun, args, x, f0, g0, d, step):
     t = step
     for evals in range(1, LINE_SEARCH_EVALS + 1):
         xt = x + t * d
-        ft, gt = fun(xt, *args)
+        ft, gt = yield xt
         prev = (bt, bf, bdg)
         if not (math.isfinite(ft) and np.isfinite(gt).all()):
             far = (t, None, None)
@@ -319,50 +353,82 @@ def _direction(g, pairs):
     return -q
 
 
-def minimize(fun, x0, args=()) -> Minimum:
-    """Unconstrained L-BFGS minimization of ``fun(x, *args) -> (f, grad)``.
-
-    Limited-memory BFGS (Liu and Nocedal 1989) with MEMORY pairs and a
-    strong Wolfe line search (see ``_line_search``).  The first trial step
-    has length 1; later ones are the full quasi-Newton step.  When a line
-    search accepts no step, the memory is dropped and steepest descent is
-    tried once more; if that fails too, the search stops.  It also stops
-    after MAXITER iterations, once MAXFUN evaluations are spent, when an
-    iteration lowers f by at most FTOL * max(|f|, |f_new|, 1), or when
-    max |grad| <= GTOL.
-    """
-    x = np.array(x0, dtype=float)
+def _lbfgs(x):
+    """One L-BFGS run from ``x`` as a generator: it yields each point to
+    evaluate, is sent its (f, grad), and returns (x, f, nit, nfev)."""
     pairs: collections.deque = collections.deque(maxlen=MEMORY)
     nit = 0
+    f, g = yield x
+    nfev = 1
+    while (nit < MAXITER and nfev < MAXFUN and math.isfinite(f)
+           and np.max(np.abs(g)) > GTOL):
+        d = _direction(g, pairs)
+        if not float(g @ d) < 0.0:
+            pairs.clear()
+            d = -g
+        step = 1.0 / float(np.linalg.norm(d)) if nit == 0 else 1.0
+        x_new, f_new, g_new, evals = yield from _line_search(x, f, g, d, step)
+        nfev += evals
+        if x_new is None:
+            if not pairs:
+                break
+            pairs.clear()
+            continue
+        nit += 1
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > np.finfo(float).eps * float(y @ y):
+            pairs.append((s, y, 1.0 / sy))
+        done = f - f_new <= FTOL * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if done:
+            break
+    return x, f, nit, nfev
+
+
+def minimize(fun, x0, args=()) -> Minimum:
+    """Unconstrained L-BFGS minimization from each row of ``x0`` (R, N).
+
+    ``fun(X, *args) -> (f, grad)`` evaluates stacked points X (K, N),
+    returning values (K,) and gradients (K, N).  Each row runs its own
+    limited-memory BFGS (Liu and Nocedal 1989) with MEMORY pairs and a
+    strong Wolfe line search (see ``_line_search``); every step, the points
+    all running rows wait on are evaluated in one call of ``fun``, and a
+    row leaves the batch when it stops.  The first trial step has length
+    1; later ones are the full quasi-Newton step.  When a line search
+    accepts no step, the memory is dropped and steepest descent is tried
+    once more; if that fails too, the row stops.  It also stops after
+    MAXITER iterations, once MAXFUN evaluations are spent, when an
+    iteration lowers f by at most FTOL * max(|f|, |f_new|, 1), or when
+    max |grad| <= GTOL.
+
+    The result's ``x`` (R, N) and ``fun`` (R,) hold every row's end point;
+    its ``nit`` and ``nfev`` are totals over the rows.
+    """
+    x0 = np.array(x0, dtype=float)
+    if x0.ndim != 2:
+        raise ValueError("minimize takes one start per row of a 2-d array")
+    runs = [_lbfgs(row) for row in x0]
+    ends: list = [None] * len(runs)
+    points = [next(run) for run in runs]
+    live = list(range(len(runs)))
     # a zero row of the search's x divides by its norm; the NaN that gives
     # is handled by the line search as a step too long
     with np.errstate(invalid="ignore", divide="ignore"):
-        f, g = fun(x, *args)
-        nfev = 1
-        while (nit < MAXITER and nfev < MAXFUN and math.isfinite(f)
-               and np.max(np.abs(g)) > GTOL):
-            d = _direction(g, pairs)
-            if not float(g @ d) < 0.0:
-                pairs.clear()
-                d = -g
-            step = 1.0 / float(np.linalg.norm(d)) if nit == 0 else 1.0
-            x_new, f_new, g_new, evals = _line_search(fun, args, x, f, g, d, step)
-            nfev += evals
-            if x_new is None:
-                if not pairs:
-                    break
-                pairs.clear()
-                continue
-            nit += 1
-            s, y = x_new - x, g_new - g
-            sy = float(s @ y)
-            if sy > np.finfo(float).eps * float(y @ y):
-                pairs.append((s, y, 1.0 / sy))
-            done = f - f_new <= FTOL * max(abs(f), abs(f_new), 1.0)
-            x, f, g = x_new, f_new, g_new
-            if done:
-                break
-    return Minimum(x, float(f), nit, nfev)
+        while live:
+            f, g = fun(np.stack([points[i] for i in live]), *args)
+            running = []
+            for i, fi, gi in zip(live, f.tolist(), g):
+                try:
+                    # a copy, so the rows a run keeps do not pin the
+                    # whole stacked gradient of an older step
+                    points[i] = runs[i].send((fi, gi.copy()))
+                    running.append(i)
+                except StopIteration as stop:
+                    ends[i] = stop.value
+            live = running
+    xs, fs, nits, nfevs = zip(*ends)
+    return Minimum(np.array(xs), np.array(fs), sum(nits), sum(nfevs))
 
 
 def search_realization(
@@ -380,7 +446,11 @@ def search_realization(
     atom pairs, max(0, |<u,v>|^2 - (1-margin)^2), by L-BFGS descent from
     ``restarts`` seeded random starts.  Success means final penalty below
     SUCCESS_PENALTY; ties between restarts break toward the lowest index,
-    so the result is a deterministic function of (seed, restarts).
+    so the result is a deterministic function of (seed, restarts).  The
+    restarts run in blocks of at most BATCH_CELLS // (n·max(n, 2·MEMORY·w))
+    (at least one), with w the coordinates per vector, and
+    restart r's penalty and vectors are the same whatever the block size or
+    the restart count.
     """
     if dim < 2:
         raise ValueError("realization dimension must be >= 2")
@@ -400,24 +470,27 @@ def search_realization(
     width = 2 * dim if complex_space else dim
     args = (n, width, orth_mask, offdiag, t2, complex_space)
 
+    # memory grows with the block, not with the restart count: a restart
+    # holds n x n overlap cells and MEMORY L-BFGS pairs of n·w coordinates
+    block = max(1, BATCH_CELLS // (n * max(n, 2 * MEMORY * width)))
     best_pen = np.inf
     best_vm = None
     best_restart = 0
     per_restart = []
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        x0 = rng.standard_normal(n * width)
+    for first in range(0, restarts, block):
+        rows = range(first, min(first + block, restarts))
+        x0 = np.array([np.random.default_rng([seed, r]).standard_normal(n * width)
+                       for r in rows])
         res = minimize(_value_and_grad, x0, args=args)
-        xm = res.x.reshape(n, width)
-        vm = xm / np.linalg.norm(xm, axis=1, keepdims=True)
-        vm, pen = _polish(vm, classes, orth_mask, offdiag, t2, complex_space)
-        per_restart.append(pen)
+        xm = res.x.reshape(len(rows), n, width)
+        vm = xm / np.linalg.norm(xm, axis=2, keepdims=True)
+        vm, pens = _polish(vm, classes, orth_mask, offdiag, t2, complex_space)
+        per_restart += pens.tolist()
         # all restarts always run so the report is reproducible; ties break
         # toward the lowest restart index
-        if pen < best_pen:
-            best_pen = pen
-            best_vm = vm
-            best_restart = r
+        for r, pen, v in zip(rows, per_restart[first:], vm):
+            if pen < best_pen:
+                best_pen, best_vm, best_restart = pen, v.copy(), r
 
     success = best_pen < SUCCESS_PENALTY
     realization = None

@@ -7,10 +7,11 @@ coefficient tensor on any single-site outcome of nonzero probability leaves
 every other site with a single possible outcome.
 
 The analysis here is exact on amplitudes (no sampling); an amplitude is
-treated as zero when its magnitude is not above the given tolerance.  Every
-possibility set, for the uniqueness check and for counterfactual
-completion alike, is read from one d×d occupancy table per site pair,
-filled from the digit rows of the K remaining amplitudes in O(K·n²).
+treated as zero when its magnitude is not above the given tolerance.  The
+uniqueness check reads every possibility set from one d×d occupancy table
+per site pair, filled from the digit rows of the K remaining amplitudes in
+O(K·n²); counterfactual completion needs only the observed site's row,
+read from the digit columns of the filtered state in O(K·n).
 """
 
 from __future__ import annotations
@@ -92,6 +93,11 @@ def check_uniqueness(psi: MultipartiteState, tol: float = 1e-9) -> UniquenessRep
     return UniquenessReport(tuple(verdicts), possibilities, term_count)
 
 
+def _support_digits(psi: MultipartiteState, tol: float) -> np.ndarray:
+    """The (K, n) levels of the K amplitudes above ``tol``, one row each."""
+    return np.argwhere(np.abs(psi.tensor_view()) > tol)
+
+
 def _possibilities(psi: MultipartiteState, tol: float) -> tuple[dict, int]:
     """Possibility sets of every site outcome that has an amplitude above
     ``tol``, keyed (site, label) in site then level order, and the number
@@ -103,7 +109,7 @@ def _possibilities(psi: MultipartiteState, tol: float) -> tuple[dict, int]:
     O(K·n²) for K terms.  The diagonal ``table[s, s, a, a]`` says level a
     is possible at site s.
     """
-    digits = np.argwhere(np.abs(psi.tensor_view()) > tol)  # (K, n)
+    digits = _support_digits(psi, tol)
     n, labels = psi.sites, psi.labels
     table = np.zeros((n, n, psi.site_dim, psi.site_dim), dtype=bool)
     sites = np.arange(n)
@@ -178,7 +184,15 @@ def counterfactual_complete(
     """
     filtered = filter_outcome(psi, site, outcome, tol)  # raises on null filter
     label = psi.labels[psi.label_index(outcome)]
-    sups = _possibilities(filtered, tol)[0][(site, label)]
+    # every remaining term has the observed level at ``site``, so site t's
+    # possible levels are the ones in digit column t: O(K·n)
+    seen = np.zeros((psi.sites, psi.site_dim), dtype=bool)
+    seen[np.arange(psi.sites), _support_digits(filtered, tol)] = True
+    sups = {
+        t: tuple(lab for lab, hit in zip(psi.labels, row) if hit)
+        for t, row in enumerate(seen.tolist())
+        if t != site
+    }
     determined = {t: v[0] for t, v in sups.items() if len(v) == 1}
     ambiguous = {t: v for t, v in sups.items() if len(v) != 1}
     return CounterfactualOutcome(site, label, determined, ambiguous)

@@ -205,24 +205,34 @@ def reference_saturate_orthogonality(diagram: GreechieDiagram):
 def scipy_minimize(fun, x0, args=()):
     """scipy's L-BFGS-B with the search's limits: the minimizer that the
     in-house L-BFGS replaced.  Same call and result fields as
-    ``realizability.minimize``."""
+    ``realizability.minimize``: one run per row of ``x0``, each evaluating
+    the batched ``fun`` on its own point."""
     from scipy.optimize import minimize
 
     from qlctx import realizability as rz
 
-    return minimize(fun, x0, args=args, jac=True, method="L-BFGS-B",
-                    options={"maxiter": rz.MAXITER, "maxfun": rz.MAXFUN,
-                             "ftol": rz.FTOL, "gtol": rz.GTOL})
+    def one(x, *args):
+        f, g = fun(x[None], *args)
+        return f[0], g[0]
+
+    ends = [minimize(one, x, args=args, jac=True, method="L-BFGS-B",
+                     options={"maxiter": rz.MAXITER, "maxfun": rz.MAXFUN,
+                              "ftol": rz.FTOL, "gtol": rz.GTOL})
+            for x in x0]
+    return rz.Minimum(np.array([e.x for e in ends]),
+                      np.array([e.fun for e in ends]),
+                      sum(e.nit for e in ends), sum(e.nfev for e in ends))
 
 
 def sequential_polish(vm, orth_mask, offdiag, t2, complex_space, sweeps=60):
     """The polish that the colour-batched one replaced: one atom per
-    ``eigh``, in atom order; only sweeps that lower the penalty are kept."""
+    ``eigh``, in atom order, on one restart's vectors ``vm`` (n, w); only
+    sweeps that lower the penalty are kept."""
     from qlctx.realizability import _apply_j, _penalty_of
 
     orth_sets = [np.flatnonzero(row) for row in orth_mask]
     best = vm.copy()
-    best_pen = _penalty_of(vm, orth_mask, offdiag, t2, complex_space)
+    best_pen = _penalty_of(vm[None], orth_mask, offdiag, t2, complex_space)[0]
     cur = vm.copy()
     for _ in range(sweeps):
         for a, nbrs in enumerate(orth_sets):
@@ -239,7 +249,7 @@ def sequential_polish(vm, orth_mask, offdiag, t2, complex_space, sweeps=60):
             if v[lead] < 0:
                 v = -v
             cur[a] = v
-        pen = _penalty_of(cur, orth_mask, offdiag, t2, complex_space)
+        pen = _penalty_of(cur[None], orth_mask, offdiag, t2, complex_space)[0]
         if pen >= best_pen:
             break
         best_pen = pen

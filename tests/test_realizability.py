@@ -17,6 +17,7 @@ from qlctx.realizability import (
     LINE_SEARCH_EVALS,
     MAXFUN,
     MAXITER,
+    MEMORY,
     Realization,
     SUCCESS_PENALTY,
     _colour_classes,
@@ -179,15 +180,16 @@ class TestSearch:
             width = 6 if complex_space else 3
             args = (n, width, orth, offdiag, 0.95**2, complex_space)
             x = rng.standard_normal(n * width)
-            _, grad = _value_and_grad(x, *args)
+            _, grad = _value_and_grad(x[None], *args)
             eps = 1e-6
-            for k in rng.choice(x.size, size=8, replace=False):
-                xp, xm = x.copy(), x.copy()
-                xp[k] += eps
-                xm[k] -= eps
-                fd = (_value_and_grad(xp, *args)[0]
-                      - _value_and_grad(xm, *args)[0]) / (2 * eps)
-                assert abs(fd - grad[k]) < 1e-5
+            ks = rng.choice(x.size, size=8, replace=False)
+            # one stacked call evaluates every shifted point
+            shifted = np.repeat(x[None], 2 * len(ks), axis=0)
+            shifted[np.arange(len(ks)), ks] += eps
+            shifted[len(ks) + np.arange(len(ks)), ks] -= eps
+            f, _ = _value_and_grad(shifted, *args)
+            fd = (f[:len(ks)] - f[len(ks):]) / (2 * eps)
+            assert np.all(np.abs(fd - grad[0, ks]) < 1e-5)
 
 
 class TestMinimize:
@@ -198,39 +200,74 @@ class TestMinimize:
         target = rng.standard_normal(10)
 
         def fun(x):
-            return 0.5 * (x - target) @ a @ (x - target), a @ (x - target)
+            r = x - target
+            return 0.5 * np.sum((r @ a) * r, axis=1), r @ a
 
-        result = minimize(fun, np.zeros(10))
-        assert np.max(np.abs(result.x - target)) <= 1e-10
-        assert result.nit <= MAXITER
-        assert result.nfev <= MAXFUN + LINE_SEARCH_EVALS
+        one = minimize(fun, np.zeros((1, 10)))
+        assert np.max(np.abs(one.x - target)) <= 1e-10
+        assert one.nit <= MAXITER
+        assert one.nfev <= MAXFUN + LINE_SEARCH_EVALS
+
+        starts = np.vstack([np.zeros(10), rng.standard_normal((2, 10))])
+        batch = minimize(fun, starts)
+        assert batch.x.shape == starts.shape
+        assert np.max(np.abs(batch.x - target)) <= 1e-10
 
     def test_nan_region_is_a_step_too_long(self):
         # the value is NaN for x0 < 0, where the unconstrained minimizer is
         def fun(x):
-            value = math.nan if x[0] < 0 else (x[0] + 1) ** 2 + x[1] ** 2
-            return value, np.array([2 * (x[0] + 1), 2 * x[1]])
+            value = np.where(x[:, 0] < 0, math.nan,
+                             (x[:, 0] + 1) ** 2 + x[:, 1] ** 2)
+            return value, 2 * (x + [1.0, 0.0])
 
-        x0 = np.array([0.01, 1.0])
+        x0 = np.array([[0.01, 1.0]])
         result = minimize(fun, x0)
         assert np.isfinite(result.x).all()
-        assert math.isfinite(result.fun)
-        assert result.fun <= fun(x0)[0]
+        assert np.isfinite(result.fun).all()
+        assert result.fun[0] <= fun(x0)[0][0]
+
+    def test_one_start_alone_or_in_a_batch(self):
+        # a row's run does not depend on the rows that share its batch,
+        # nor on when they stop
+        d = tripod_chain(6)
+        n = len(d.atoms)
+        orth = orthogonality_mask(d)
+        args = (n, 3, orth, ~np.eye(n, dtype=bool), 0.95**2, False)
+        starts = np.random.default_rng(9).standard_normal((5, 3 * n))
+        batch = minimize(_value_and_grad, starts, args=args)
+        alone = [minimize(_value_and_grad, row[None], args=args)
+                 for row in starts]
+        assert len({m.nfev for m in alone}) > 1
+        for k, one in enumerate(alone):
+            assert np.array_equal(one.x[0], batch.x[k])
+            assert one.fun[0] == batch.fun[k]
+        assert batch.nit == sum(m.nit for m in alone)
+        assert batch.nfev == sum(m.nfev for m in alone)
+
+    def test_needs_stacked_starts(self):
+        with pytest.raises(ValueError, match="2-d"):
+            minimize(lambda x: (x @ x, 2 * x), np.ones(3))
 
     def test_search_calls_minimize_through_the_module(self, monkeypatch):
         # benchmark tracing replaces realizability.minimize by name and
-        # reads nit and nfev from what it returns
-        calls = []
+        # reads nit and nfev from what it returns: one call per block
+        counts = []
 
         def counted(*args, **kwargs):
             result = minimize(*args, **kwargs)
-            calls.append((result.nit, result.nfev))
+            counts.append((result.nit, result.nfev))
             return result
 
         monkeypatch.setattr(realizability, "minimize", counted)
-        search_realization(corpus.load("fig1"), 3, seed=0, restarts=3)
-        assert len(calls) == 3
-        assert all(nit >= 1 and nfev >= nit for nit, nfev in calls)
+        for cells, calls in ((realizability.BATCH_CELLS, 1), (1, 3)):
+            counts.clear()
+            monkeypatch.setattr(realizability, "BATCH_CELLS", cells)
+            search_realization(corpus.load("fig1"), 3, seed=0, restarts=3)
+            assert len(counts) == calls
+            for nit, nfev in counts:
+                assert type(nit) is int and type(nfev) is int
+                assert nit >= 1 and nfev >= nit
+            assert sum(nfev for _, nfev in counts) >= 3
 
 
 # chains and rings of tripods are realizable in R^3 and C^3
@@ -260,6 +297,69 @@ class TestAgainstScipy:
         assert ours >= theirs - 0.05 * run, (ours, theirs, run)
 
 
+class TestBatch:
+    @pytest.mark.parametrize(
+        "make, n, complex_space, seed", WITNESS_GRID,
+        ids=[f"{make.__name__}{n}-{'complex' if c else 'real'}-{seed}"
+             for make, n, c, seed in WITNESS_GRID])
+    def test_restarts_do_not_depend_on_the_batch(self, monkeypatch, make, n,
+                                                 complex_space, seed):
+        polished = []
+
+        def recorded(*args):
+            out = _polish(*args)
+            polished.append(out[0])
+            return out
+
+        monkeypatch.setattr(realizability, "_polish", recorded)
+        one, four, ten = (search_realization(make(n), 3, seed=seed,
+                                             restarts=restarts,
+                                             complex_space=complex_space)
+                          for restarts in (1, 4, 10))
+        assert four.restart_penalties == ten.restart_penalties[:4]
+        assert one.restart_penalties == ten.restart_penalties[:1]
+        # restart 0's vectors, from the first block of each search
+        assert np.array_equal(polished[0][0], polished[1][0])
+        assert np.array_equal(polished[0][0], polished[2][0])
+
+    @pytest.mark.parametrize("diagram, complex_space", [
+        (tripod_chain(6), False), (tripod_ring(8), True),
+        (corpus.load("fig2a"), False), (corpus.load("fig2b"), False),
+    ], ids=["chain6", "ring8-complex", "fig2a", "fig2b"])
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_blocks_change_nothing(self, monkeypatch, diagram, complex_space,
+                                   rows):
+        whole = search_realization(diagram, 3, seed=0, restarts=10,
+                                   complex_space=complex_space)
+        # a restart counts its n x n overlap cells or, when that is more,
+        # its L-BFGS pairs of n·w coordinates
+        n, width = len(diagram.atoms), 6 if complex_space else 3
+        cells = n * max(n, 2 * MEMORY * width)
+        monkeypatch.setattr(realizability, "BATCH_CELLS", rows * cells)
+        sizes = []
+
+        def counted(fun, x0, args=()):
+            sizes.append(len(x0))
+            return minimize(fun, x0, args)
+
+        monkeypatch.setattr(realizability, "minimize", counted)
+        blocks = search_realization(diagram, 3, seed=0, restarts=10,
+                                    complex_space=complex_space)
+        assert sizes == [rows] * (10 // rows) + [10 % rows] * (10 % rows > 0)
+        assert blocks.restart_penalties == whole.restart_penalties
+        assert blocks.best_restart == whole.best_restart
+        assert blocks.success == whole.success
+        if whole.success:
+            for a in diagram.atoms:
+                assert np.array_equal(blocks.realization.vectors[a],
+                                      whole.realization.vectors[a])
+
+
+def unit_rows(rng, shape):
+    vm = rng.standard_normal(shape)
+    return vm / np.linalg.norm(vm, axis=-1, keepdims=True)
+
+
 class TestPolish:
     @pytest.mark.parametrize("complex_space", [False, True])
     def test_never_raises_the_penalty(self, complex_space):
@@ -270,16 +370,31 @@ class TestPolish:
             orth = orthogonality_mask(d)
             offdiag = ~np.eye(len(orth), dtype=bool)
             classes = _colour_classes(orth)
-            for _ in range(5):
-                vm = rng.standard_normal((len(orth), width))
-                vm /= np.linalg.norm(vm, axis=1, keepdims=True)
-                start = _penalty_of(vm, orth, offdiag, 0.95**2, complex_space)
-                out, pen = _polish(vm, classes, orth, offdiag, 0.95**2,
-                                   complex_space)
-                assert pen <= start
-                assert pen == _penalty_of(out, orth, offdiag, 0.95**2,
-                                          complex_space)
-                assert np.allclose(np.linalg.norm(out, axis=1), 1.0)
+            vm = unit_rows(rng, (5, len(orth), width))
+            start = _penalty_of(vm, orth, offdiag, 0.95**2, complex_space)
+            out, pen = _polish(vm, classes, orth, offdiag, 0.95**2,
+                               complex_space)
+            assert np.all(pen <= start)
+            assert np.array_equal(pen, _penalty_of(out, orth, offdiag,
+                                                   0.95**2, complex_space))
+            assert np.allclose(np.linalg.norm(out, axis=2), 1.0)
+
+    @pytest.mark.parametrize("complex_space", [False, True])
+    def test_rows_polish_as_if_alone(self, complex_space):
+        # rows stop after different numbers of sweeps; each gets what it
+        # gets on its own
+        rng = np.random.default_rng(6)
+        width = 6 if complex_space else 3
+        d = tripod_ring(8)
+        orth = orthogonality_mask(d)
+        offdiag = ~np.eye(len(orth), dtype=bool)
+        args = (_colour_classes(orth), orth, offdiag, 0.95**2, complex_space)
+        vm = unit_rows(rng, (6, len(orth), width))
+        out, pen = _polish(vm, *args)
+        for k in range(len(vm)):
+            alone, alone_pen = _polish(vm[k:k + 1], *args)
+            assert np.array_equal(alone[0], out[k])
+            assert alone_pen[0] == pen[k]
 
     @pytest.mark.parametrize("diagram, complex_space", [
         (tripod_chain(6), False), (tripod_ring(8), True),
@@ -289,16 +404,16 @@ class TestPolish:
         found = search_realization(diagram, 3, seed=0, restarts=4,
                                    complex_space=complex_space)
         vectors = [found.realization.vectors[a] for a in diagram.atoms]
-        vm = np.array([np.concatenate([v.real, v.imag]) if complex_space
-                       else v.real for v in vectors])
+        vm = np.array([[np.concatenate([v.real, v.imag]) if complex_space
+                        else v.real for v in vectors]])
         vm += 1e-3 * np.random.default_rng(1).standard_normal(vm.shape)
-        vm /= np.linalg.norm(vm, axis=1, keepdims=True)
+        vm /= np.linalg.norm(vm, axis=2, keepdims=True)
         orth = orthogonality_mask(diagram)
         offdiag = ~np.eye(len(orth), dtype=bool)
-        assert _penalty_of(vm, orth, offdiag, 0.95**2, complex_space) > 1e-6
+        assert _penalty_of(vm, orth, offdiag, 0.95**2, complex_space)[0] > 1e-6
         _, pen = _polish(vm, _colour_classes(orth), orth, offdiag, 0.95**2,
                          complex_space)
-        assert pen < SUCCESS_PENALTY
+        assert pen[0] < SUCCESS_PENALTY
 
     def test_colour_classes_share_no_context(self):
         for d in (tripod_chain(8), tripod_ring(7), corpus.load("fig3"),
@@ -316,9 +431,10 @@ class TestPolish:
 
         def both(vm, classes, orth_mask, offdiag, t2, complex_space):
             batched = _polish(vm, classes, orth_mask, offdiag, t2, complex_space)
-            _, sequential = sequential_polish(vm, orth_mask, offdiag, t2,
-                                              complex_space)
-            pairs.append((batched[1], sequential))
+            for row, pen in zip(vm, batched[1]):
+                _, sequential = sequential_polish(row, orth_mask, offdiag, t2,
+                                                  complex_space)
+                pairs.append((pen, sequential))
             return batched
 
         monkeypatch.setattr(realizability, "_polish", both)

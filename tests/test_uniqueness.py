@@ -256,8 +256,12 @@ class TestAgainstReference:
 
     def test_counterfactual_matches_reference_possibilities(self):
         # completion reads the renormalized filtered state, so the oracle
-        # runs on that state too
-        for psi in _sparse_states():
+        # runs on that state too; the rotated 12-site spin-1/2 GHZ state
+        # is dense
+        ghz = from_terms(12, 2, [(1, "+" * 12), (1, "-" * 12)])
+        rotated = apply_identical_local(
+            ghz, sample_rotation(2, np.random.default_rng(17)).unitary)
+        for psi in [*_sparse_states(), rotated]:
             for site, outcome in reference_uniqueness(psi)[1]:
                 filtered = filter_outcome(psi, site, outcome)
                 want = reference_uniqueness(filtered)[1][(site, outcome)]
