@@ -84,10 +84,6 @@ def _data(entry_id: str):
     return entry, resources.files(__package__) / "data" / entry.filename
 
 
-def data_text(entry_id: str) -> str:
-    return _data(entry_id)[1].read_text()
-
-
 def data_path(entry_id: str) -> str:
     """Filesystem path of a corpus file (the package ships as plain files)."""
     return str(_data(entry_id)[1])

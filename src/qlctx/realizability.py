@@ -14,13 +14,12 @@ Two complementary deciders are provided:
   distinct atoms is a proof of non-realizability.
 * ``search_realization`` - a numerical witness search minimizing an
   orthogonality-plus-collinearity penalty over a product of unit spheres
-  from seeded random restarts: L-BFGS descent (``minimize``, numpy only)
-  followed by a block-coordinate polish that moves one colour class of
-  atoms per stacked eigensolve.  All restarts of a block advance together:
-  one stacked penalty evaluation per L-BFGS step and one stacked polish,
-  with each restart's result independent of the batch it runs in.
-  Success is a proof; failure is only evidence and is reported as "no
-  witness found" with the best residual.
+  from seeded random restarts by L-BFGS descent (``minimize``, numpy
+  only), in one stage.  All restarts of a block advance together, one
+  stacked penalty evaluation per step, with each restart's result
+  independent of the batch it runs in.  Success is a proof, and only a
+  witness that ``verify_realization`` accepts counts; failure is only
+  evidence and is reported as "no witness found" with the best residual.
 """
 
 from __future__ import annotations
@@ -185,69 +184,11 @@ def _value_and_grad(x, n, width, orth_mask, offdiag, t2, complex_space):
     return penalty, gx.reshape(len(x), -1)
 
 
-def _penalty_of(vm, orth_mask, offdiag, t2, complex_space) -> np.ndarray:
-    return _penalty_parts(vm, orth_mask, offdiag, t2, complex_space)[3]
-
-
-def _colour_classes(orth_mask) -> list[np.ndarray]:
-    """Greedy colouring of the orthogonality graph in atom order.  Atoms of
-    one class share no context, so the polish can move them all at once;
-    atoms with no neighbour are left out."""
-    colour: dict[int, int] = {}
-    classes: list[list[int]] = []
-    for a, row in enumerate(orth_mask):
-        if not row.any():
-            continue
-        used = {colour[b] for b in np.flatnonzero(row) if b in colour}
-        c = next(k for k in itertools.count() if k not in used)
-        colour[a] = c
-        if c == len(classes):
-            classes.append([])
-        classes[c].append(a)
-    return [np.array(atoms) for atoms in classes]
-
-
-def _polish(vm, classes, orth_mask, offdiag, t2, complex_space, sweeps=60):
-    """Block-coordinate descent on stacked unit vectors ``vm`` (R, n, w):
-    each atom moves to the smallest eigenvector of its neighbours' projector
-    sum, one colour class of every row per stacked ``eigh``.  A row stops at
-    its first sweep that does not lower its full penalty (hinges included)
-    and keeps the vectors from before that sweep.  Returns the vectors and
-    the penalties (R,)."""
-    rows, n, width = vm.shape
-    weights = [orth_mask[atoms].astype(float) for atoms in classes]
-    best = vm.copy()
-    best_pen = _penalty_of(vm, orth_mask, offdiag, t2, complex_space)
-    live = np.arange(rows)
-    cur = vm.copy()
-    for _ in range(sweeps):
-        for atoms, weight in zip(classes, weights):
-            outer = cur[..., :, None] * cur[..., None, :]
-            if complex_space:
-                jcur = _apply_j(cur)
-                outer += jcur[..., :, None] * jcur[..., None, :]
-            mats = weight @ outer.reshape(len(cur), n, width * width)
-            mats = mats.reshape(len(cur), len(atoms), width, width)
-            v = np.linalg.eigh(mats)[1][..., 0]
-            lead = np.take_along_axis(
-                v, np.argmax(np.abs(v), axis=2)[..., None], axis=2
-            )
-            cur[:, atoms] = np.where(lead < 0, -v, v)
-        pen = _penalty_of(cur, orth_mask, offdiag, t2, complex_space)
-        lower = pen < best_pen[live]
-        best[live[lower]] = cur[lower]
-        best_pen[live[lower]] = pen[lower]
-        going = lower & (pen != 0.0)
-        live, cur = live[going], cur[going]
-        if not live.size:
-            break
-    return best, best_pen
-
-
 # L-BFGS: the memory and line-search constants are the defaults of
 # L-BFGS-B (Byrd, Lu, Nocedal and Zhu 1995) and of its Moré-Thuente line
 # search; the iteration, evaluation and stopping limits are the ones this
-# search has always run with.
+# search has always run with.  The FTOL test is L-BFGS-B's factr test
+# without its absolute floor of 1, so a witness's penalty falls to ~1e-27.
 MEMORY = 10
 MAXITER = 2000
 MAXFUN = 5000
@@ -379,7 +320,7 @@ def _lbfgs(x):
         sy = float(s @ y)
         if sy > np.finfo(float).eps * float(y @ y):
             pairs.append((s, y, 1.0 / sy))
-        done = f - f_new <= FTOL * max(abs(f), abs(f_new), 1.0)
+        done = f - f_new <= FTOL * max(abs(f), abs(f_new))
         x, f, g = x_new, f_new, g_new
         if done:
             break
@@ -399,7 +340,7 @@ def minimize(fun, x0, args=()) -> Minimum:
     accepts no step, the memory is dropped and steepest descent is tried
     once more; if that fails too, the row stops.  It also stops after
     MAXITER iterations, once MAXFUN evaluations are spent, when an
-    iteration lowers f by at most FTOL * max(|f|, |f_new|, 1), or when
+    iteration lowers f by at most FTOL * max(|f|, |f_new|), or when
     max |grad| <= GTOL.
 
     The result's ``x`` (R, N) and ``fun`` (R,) hold every row's end point;
@@ -444,9 +385,12 @@ def search_realization(
 
     Minimizes  sum over context pairs of |<u,v>|^2  plus, over all distinct
     atom pairs, max(0, |<u,v>|^2 - (1-margin)^2), by L-BFGS descent from
-    ``restarts`` seeded random starts.  Success means final penalty below
-    SUCCESS_PENALTY; ties between restarts break toward the lowest index,
-    so the result is a deterministic function of (seed, restarts).  The
+    ``restarts`` seeded random starts.  A restart's penalty is its L-BFGS
+    end value, and its vectors are its end point, normalized.  Success
+    means the best penalty is below SUCCESS_PENALTY and
+    ``verify_realization`` accepts its vectors at ``margin``; ties between
+    restarts break toward the lowest index, so the result is a
+    deterministic function of (seed, restarts).  The
     restarts run in blocks of at most BATCH_CELLS // (n·max(n, 2·MEMORY·w))
     (at least one), with w the coordinates per vector, and
     restart r's penalty and vectors are the same whatever the block size or
@@ -465,7 +409,6 @@ def search_realization(
             orth_mask[index[x], index[y]] = True
             orth_mask[index[y], index[x]] = True
     offdiag = ~np.eye(n, dtype=bool)
-    classes = _colour_classes(orth_mask)
     t2 = (1.0 - margin) ** 2
     width = 2 * dim if complex_space else dim
     args = (n, width, orth_mask, offdiag, t2, complex_space)
@@ -484,8 +427,7 @@ def search_realization(
         res = minimize(_value_and_grad, x0, args=args)
         xm = res.x.reshape(len(rows), n, width)
         vm = xm / np.linalg.norm(xm, axis=2, keepdims=True)
-        vm, pens = _polish(vm, classes, orth_mask, offdiag, t2, complex_space)
-        per_restart += pens.tolist()
+        per_restart += res.fun.tolist()
         # all restarts always run so the report is reproducible; ties break
         # toward the lowest restart index
         for r, pen, v in zip(rows, per_restart[first:], vm):
@@ -501,6 +443,10 @@ def search_realization(
             vec = (row[:dim] + 1j * row[dim:]) if complex_space else row + 0j
             vectors[a] = vec
         realization = Realization(vectors, "complex" if complex_space else "real")
+        # the penalty bounds the sum of squared overlaps, not each one: a
+        # witness counts only if the verifier accepts it
+        if not verify_realization(diagram, realization, margin=margin)[0]:
+            success, realization = False, None
     return SearchResult(
         success, realization, float(best_pen), tuple(per_restart), best_restart
     )

@@ -4,9 +4,8 @@ spin-state layers.
 None of this has a caller in the product: the exhaustive enumeration
 oracle, the frozenset backtracker that the bitmask enumeration replaced,
 the random-diagram generator, the diagram families with closed-form
-state counts, the saturation scan, the one-atom-at-a-time polish and
-scipy's L-BFGS-B that the realization search replaced, and spin states
-built from label words.
+state counts, the saturation scan, scipy's L-BFGS-B that the realization
+search replaced, and spin states built from label words.
 """
 
 from __future__ import annotations
@@ -222,38 +221,3 @@ def scipy_minimize(fun, x0, args=()):
     return rz.Minimum(np.array([e.x for e in ends]),
                       np.array([e.fun for e in ends]),
                       sum(e.nit for e in ends), sum(e.nfev for e in ends))
-
-
-def sequential_polish(vm, orth_mask, offdiag, t2, complex_space, sweeps=60):
-    """The polish that the colour-batched one replaced: one atom per
-    ``eigh``, in atom order, on one restart's vectors ``vm`` (n, w); only
-    sweeps that lower the penalty are kept."""
-    from qlctx.realizability import _apply_j, _penalty_of
-
-    orth_sets = [np.flatnonzero(row) for row in orth_mask]
-    best = vm.copy()
-    best_pen = _penalty_of(vm[None], orth_mask, offdiag, t2, complex_space)[0]
-    cur = vm.copy()
-    for _ in range(sweeps):
-        for a, nbrs in enumerate(orth_sets):
-            if nbrs.size == 0:
-                continue
-            cols = cur[nbrs]
-            mat = cols.T @ cols
-            if complex_space:
-                jcols = _apply_j(cols)
-                mat = mat + jcols.T @ jcols
-            _, vecs = np.linalg.eigh(mat)
-            v = vecs[:, 0]
-            lead = int(np.argmax(np.abs(v)))
-            if v[lead] < 0:
-                v = -v
-            cur[a] = v
-        pen = _penalty_of(cur[None], orth_mask, offdiag, t2, complex_space)[0]
-        if pen >= best_pen:
-            break
-        best_pen = pen
-        best = cur.copy()
-        if best_pen == 0.0:
-            break
-    return best, best_pen

@@ -128,6 +128,19 @@ class TestRealizabilityCommands:
         ok, _ = verify_realization(corpus.load("fig1"), real)
         assert ok
 
+    def test_realize_exits_1_when_the_verifier_rejects(self, monkeypatch,
+                                                       tmp_path):
+        from qlctx import realizability
+
+        monkeypatch.setattr(realizability, "verify_realization",
+                            lambda *args, **kwargs: (False, []))
+        out = tmp_path / "fig1.real"
+        result = run("realize", corpus.data_path("fig1"), "--dim", "3",
+                     "--restarts", "3", "-o", out)
+        assert result.exit_code == 1
+        assert "no witness found" in result.output
+        assert not out.exists()
+
 
 class TestRenderCommand:
     def test_tkadlec_fig1(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from oracles import (
     random_diagram,
     reference_saturate_orthogonality,
     scipy_minimize,
-    sequential_polish,
     tripod_chain,
     tripod_ring,
 )
@@ -20,9 +20,6 @@ from qlctx.realizability import (
     MEMORY,
     Realization,
     SUCCESS_PENALTY,
-    _colour_classes,
-    _penalty_of,
-    _polish,
     _value_and_grad,
     born_probabilities,
     load_realization,
@@ -66,6 +63,16 @@ def tadpole(tail: int):
     chain[-1] = (f"t{tail - 1}", f"s{tail - 1}", "m0")
     return make_diagram(chain + [("c0", "m0", "c1"), ("c1", "m1", "c2"),
                                  ("c2", "m2", "c0")])
+
+
+# chains and rings of tripods are realizable in R^3 and C^3
+WITNESS_GRID = [(make, n, complex_space, seed)
+                for make, n in ((tripod_chain, 4), (tripod_chain, 6),
+                                (tripod_chain, 8), (tripod_ring, 6),
+                                (tripod_ring, 8))
+                for complex_space in (False, True) for seed in (0, 1)]
+GRID_IDS = [f"{make.__name__}{n}-{'complex' if c else 'real'}-{seed}"
+            for make, n, c, seed in WITNESS_GRID]
 
 
 class TestSaturation:
@@ -170,6 +177,55 @@ class TestSearch:
         assert result.success
         assert verify_realization(d, result.realization)[0]
 
+    @pytest.mark.parametrize(
+        "diagram, complex_space, seed",
+        [(make(n), c, seed) for make, n, c, seed in WITNESS_GRID]
+        + [(corpus.load(name), c, 0) for name in ("fig1", "fig2a")
+           for c in (False, True)],
+        ids=GRID_IDS + [f"{name}-{'complex' if c else 'real'}"
+                        for name in ("fig1", "fig2a") for c in (False, True)])
+    def test_witness_overlaps_are_at_most_1e_12(self, monkeypatch, diagram,
+                                                 complex_space, seed):
+        # L-BFGS alone gives every successful restart its precision: the
+        # stopping rule has no absolute floor
+        ends = []
+
+        def recorded(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            ends.extend(zip(result.x, result.fun))
+            return result
+
+        monkeypatch.setattr(realizability, "minimize", recorded)
+        result = search_realization(diagram, 3, seed=seed, restarts=10,
+                                    complex_space=complex_space)
+        assert result.success
+        index = {a: i for i, a in enumerate(diagram.atoms)}
+        pairs = [(index[x], index[y]) for ctx in diagram.contexts
+                 for x, y in itertools.combinations(ctx, 2)]
+        for x, pen in ends:
+            if pen >= SUCCESS_PENALTY:
+                continue
+            vm = x.reshape(len(index), -1)
+            vm = vm / np.linalg.norm(vm, axis=1, keepdims=True)
+            if complex_space:
+                vm = vm[:, :3] + 1j * vm[:, 3:]
+            worst = max(abs(np.vdot(vm[i], vm[j])) for i, j in pairs)
+            assert worst <= 1e-12, worst
+
+    def test_witness_the_verifier_rejects_is_not_reported(self, monkeypatch):
+        calls = []
+
+        def rejecting(diagram, realization, tol=1e-9, margin=None):
+            calls.append(margin)
+            return False, [("orthogonality", ("A", "B"), 1.0)]
+
+        monkeypatch.setattr(realizability, "verify_realization", rejecting)
+        result = search_realization(corpus.load("fig1"), 3, seed=0, restarts=5)
+        assert calls == [realizability.DISTINCTNESS_MARGIN]
+        assert not result.success
+        assert result.realization is None
+        assert result.penalty < SUCCESS_PENALTY
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         d = corpus.load("fig2b")
@@ -270,14 +326,6 @@ class TestMinimize:
             assert sum(nfev for _, nfev in counts) >= 3
 
 
-# chains and rings of tripods are realizable in R^3 and C^3
-WITNESS_GRID = [(make, n, complex_space, seed)
-                for make, n in ((tripod_chain, 4), (tripod_chain, 6),
-                                (tripod_chain, 8), (tripod_ring, 6),
-                                (tripod_ring, 8))
-                for complex_space in (False, True) for seed in (0, 1)]
-
-
 def witness_count(monkeypatch, minimizer, restarts=10):
     monkeypatch.setattr(realizability, "minimize", minimizer)
     found = 0
@@ -299,28 +347,26 @@ class TestAgainstScipy:
 
 class TestBatch:
     @pytest.mark.parametrize(
-        "make, n, complex_space, seed", WITNESS_GRID,
-        ids=[f"{make.__name__}{n}-{'complex' if c else 'real'}-{seed}"
-             for make, n, c, seed in WITNESS_GRID])
+        "make, n, complex_space, seed", WITNESS_GRID, ids=GRID_IDS)
     def test_restarts_do_not_depend_on_the_batch(self, monkeypatch, make, n,
                                                  complex_space, seed):
-        polished = []
+        ends = []
 
-        def recorded(*args):
-            out = _polish(*args)
-            polished.append(out[0])
-            return out
+        def recorded(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            ends.append(result.x)
+            return result
 
-        monkeypatch.setattr(realizability, "_polish", recorded)
+        monkeypatch.setattr(realizability, "minimize", recorded)
         one, four, ten = (search_realization(make(n), 3, seed=seed,
                                              restarts=restarts,
                                              complex_space=complex_space)
                           for restarts in (1, 4, 10))
         assert four.restart_penalties == ten.restart_penalties[:4]
         assert one.restart_penalties == ten.restart_penalties[:1]
-        # restart 0's vectors, from the first block of each search
-        assert np.array_equal(polished[0][0], polished[1][0])
-        assert np.array_equal(polished[0][0], polished[2][0])
+        # restart 0's end point, from the first block of each search
+        assert np.array_equal(ends[0][0], ends[1][0])
+        assert np.array_equal(ends[0][0], ends[2][0])
 
     @pytest.mark.parametrize("diagram, complex_space", [
         (tripod_chain(6), False), (tripod_ring(8), True),
@@ -353,98 +399,6 @@ class TestBatch:
             for a in diagram.atoms:
                 assert np.array_equal(blocks.realization.vectors[a],
                                       whole.realization.vectors[a])
-
-
-def unit_rows(rng, shape):
-    vm = rng.standard_normal(shape)
-    return vm / np.linalg.norm(vm, axis=-1, keepdims=True)
-
-
-class TestPolish:
-    @pytest.mark.parametrize("complex_space", [False, True])
-    def test_never_raises_the_penalty(self, complex_space):
-        rng = np.random.default_rng(5)
-        width = 6 if complex_space else 3
-        for d in (tripod_chain(6), tripod_ring(8), corpus.load("fig2b"),
-                  corpus.load("fig3")):
-            orth = orthogonality_mask(d)
-            offdiag = ~np.eye(len(orth), dtype=bool)
-            classes = _colour_classes(orth)
-            vm = unit_rows(rng, (5, len(orth), width))
-            start = _penalty_of(vm, orth, offdiag, 0.95**2, complex_space)
-            out, pen = _polish(vm, classes, orth, offdiag, 0.95**2,
-                               complex_space)
-            assert np.all(pen <= start)
-            assert np.array_equal(pen, _penalty_of(out, orth, offdiag,
-                                                   0.95**2, complex_space))
-            assert np.allclose(np.linalg.norm(out, axis=2), 1.0)
-
-    @pytest.mark.parametrize("complex_space", [False, True])
-    def test_rows_polish_as_if_alone(self, complex_space):
-        # rows stop after different numbers of sweeps; each gets what it
-        # gets on its own
-        rng = np.random.default_rng(6)
-        width = 6 if complex_space else 3
-        d = tripod_ring(8)
-        orth = orthogonality_mask(d)
-        offdiag = ~np.eye(len(orth), dtype=bool)
-        args = (_colour_classes(orth), orth, offdiag, 0.95**2, complex_space)
-        vm = unit_rows(rng, (6, len(orth), width))
-        out, pen = _polish(vm, *args)
-        for k in range(len(vm)):
-            alone, alone_pen = _polish(vm[k:k + 1], *args)
-            assert np.array_equal(alone[0], out[k])
-            assert alone_pen[0] == pen[k]
-
-    @pytest.mark.parametrize("diagram, complex_space", [
-        (tripod_chain(6), False), (tripod_ring(8), True),
-        (corpus.load("fig2a"), False),
-    ], ids=["chain6", "ring8-complex", "fig2a"])
-    def test_restores_a_perturbed_witness(self, diagram, complex_space):
-        found = search_realization(diagram, 3, seed=0, restarts=4,
-                                   complex_space=complex_space)
-        vectors = [found.realization.vectors[a] for a in diagram.atoms]
-        vm = np.array([[np.concatenate([v.real, v.imag]) if complex_space
-                        else v.real for v in vectors]])
-        vm += 1e-3 * np.random.default_rng(1).standard_normal(vm.shape)
-        vm /= np.linalg.norm(vm, axis=2, keepdims=True)
-        orth = orthogonality_mask(diagram)
-        offdiag = ~np.eye(len(orth), dtype=bool)
-        assert _penalty_of(vm, orth, offdiag, 0.95**2, complex_space)[0] > 1e-6
-        _, pen = _polish(vm, _colour_classes(orth), orth, offdiag, 0.95**2,
-                         complex_space)
-        assert pen[0] < SUCCESS_PENALTY
-
-    def test_colour_classes_share_no_context(self):
-        for d in (tripod_chain(8), tripod_ring(7), corpus.load("fig3"),
-                  make_diagram([("a", "b", "c"), ("d", "e", "f")])):
-            orth = orthogonality_mask(d)
-            classes = _colour_classes(orth)
-            covered = np.concatenate(classes)
-            assert sorted(covered) == list(np.flatnonzero(orth.any(axis=1)))
-            for atoms in classes:
-                assert not orth[np.ix_(atoms, atoms)].any()
-
-    def test_succeeds_wherever_sequential_polish_does(self, monkeypatch):
-        # both polishes start from the same L-BFGS end points
-        pairs = []
-
-        def both(vm, classes, orth_mask, offdiag, t2, complex_space):
-            batched = _polish(vm, classes, orth_mask, offdiag, t2, complex_space)
-            for row, pen in zip(vm, batched[1]):
-                _, sequential = sequential_polish(row, orth_mask, offdiag, t2,
-                                                  complex_space)
-                pairs.append((pen, sequential))
-            return batched
-
-        monkeypatch.setattr(realizability, "_polish", both)
-        for make, n, complex_space, seed in WITNESS_GRID:
-            search_realization(make(n), 3, seed=seed, restarts=4,
-                               complex_space=complex_space)
-        assert any(sequential < SUCCESS_PENALTY for _, sequential in pairs)
-        for batched, sequential in pairs:
-            if sequential < SUCCESS_PENALTY:
-                assert batched < SUCCESS_PENALTY
 
 
 class TestSoundness:
