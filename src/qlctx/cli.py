@@ -4,6 +4,10 @@ Exit codes: 0 = analysis completed, 1 = analysis completed with a negative
 verdict (not unique / refuted / outside the hull / nonclassical state set /
 no witness found), 2 = usage or input error.
 
+Every command builds its JSON payload and its text and ends in one call to
+``_report``, which writes the ``-o`` artefact, prints the payload or the
+text and sets the exit code.
+
 Only ``logic`` and ``_text`` (pure Python) are imported here; numpy and the
 other engine modules are imported inside the commands that use them, so a
 command pays start-up only for what it runs.
@@ -52,15 +56,32 @@ def _load(path: str, reader):
         return reader(text)
 
 
-def _write_output(text: str, outfile: str | None) -> None:
-    """Write text to ``outfile``, or to stdout when no file is given."""
-    if not outfile:
-        click.echo(text, nl=False)
-        return
+def _write_output(text: str, outfile: str) -> None:
     try:
         Path(outfile).write_text(text)
     except OSError as exc:
         raise click.UsageError(f"cannot write {outfile}: {exc}") from None
+
+
+def _report(as_json: bool, payload: dict, text: str | None,
+            negative: bool = False, artefact: str | None = None,
+            outfile: str | None = None) -> None:
+    """Write ``artefact`` to ``outfile`` (first, so an unwritable file exits
+    2 before anything is printed), print ``payload`` as JSON or else
+    ``text`` (ending in its own newline; None prints nothing), and exit 1
+    on a negative verdict."""
+    if outfile and artefact is not None:
+        _write_output(artefact, outfile)
+    if as_json:
+        _echo_json(payload)
+    elif text is not None:
+        click.echo(text, nl=False)
+    if negative:
+        sys.exit(EXIT_NEGATIVE)
+
+
+def _lines(lines) -> str:
+    return "".join(line + "\n" for line in lines)
 
 
 def _complex_rows(array) -> list:
@@ -70,9 +91,9 @@ def _complex_rows(array) -> list:
     return np.stack([array.real, array.imag], -1).tolist()
 
 
-def _echo_matrix(matrix) -> None:
-    for row in matrix:
-        click.echo("  " + "  ".join(f"{z.real: .12f}{z.imag:+.12f}j" for z in row))
+def _matrix_lines(matrix) -> list:
+    return ["  " + "  ".join(f"{z.real: .12f}{z.imag:+.12f}j" for z in row)
+            for row in matrix]
 
 
 def _terms_payload(psi) -> list:
@@ -103,17 +124,12 @@ def states_enumerate(diagram_file, as_json):
     with _usage_errors(diagram_file):
         sts = logic.two_valued_states(diagram)
     listed = [[a for a in diagram.atoms if a in s] for s in sts]
-    if as_json:
-        _echo_json(
-            {"atoms": list(diagram.atoms), "count": len(sts), "states": listed}
-        )
-    else:
-        click.echo(f"atoms: {' '.join(diagram.atoms)}")
-        click.echo(f"{len(sts)} two-valued state(s)")
-        for atoms in listed:
-            click.echo("  " + " ".join(atoms))
-    if not sts:
-        sys.exit(EXIT_NEGATIVE)
+    text = _lines([f"atoms: {' '.join(diagram.atoms)}",
+                   f"{len(sts)} two-valued state(s)",
+                   *("  " + " ".join(atoms) for atoms in listed)])
+    _report(as_json,
+            {"atoms": list(diagram.atoms), "count": len(sts), "states": listed},
+            text, negative=not sts)
 
 
 @states_group.command("classify")
@@ -124,25 +140,20 @@ def states_classify(diagram_file, as_json):
     diagram = _load(diagram_file, logic.parse_diagram)
     with _usage_errors(diagram_file):
         result = logic.classify(diagram)
-    count = result.state_count
-    if as_json:
-        _echo_json(
-            {
-                "class": result.kind,
-                "state_count": count,
-                "witness_atoms": list(result.witness_atoms),
-                "witness_pairs": [list(p) for p in result.witness_pairs],
-            }
-        )
-    else:
-        click.echo(f"class: {result.kind} ({count} two-valued states)")
-        if result.witness_atoms:
-            click.echo("atoms never true: " + " ".join(result.witness_atoms))
-        if result.witness_pairs:
-            pairs = ", ".join(f"({x},{y})" for x, y in result.witness_pairs)
-            click.echo("nonseparating pairs: " + pairs)
-    if result.kind != "separating":
-        sys.exit(EXIT_NEGATIVE)
+    payload = {
+        "class": result.kind,
+        "state_count": result.state_count,
+        "witness_atoms": list(result.witness_atoms),
+        "witness_pairs": [list(p) for p in result.witness_pairs],
+    }
+    lines = [f"class: {result.kind} ({result.state_count} two-valued states)"]
+    if result.witness_atoms:
+        lines.append("atoms never true: " + " ".join(result.witness_atoms))
+    if result.witness_pairs:
+        pairs = ", ".join(f"({x},{y})" for x, y in result.witness_pairs)
+        lines.append("nonseparating pairs: " + pairs)
+    _report(as_json, payload, _lines(lines),
+            negative=result.kind != "separating")
 
 
 # --- hull -----------------------------------------------------------------
@@ -159,8 +170,11 @@ def _parse_assignment(text: str) -> dict:
                 f"bad probability assignment {piece!r}; expected atom=value"
             )
         atom, value = piece.split("=", 1)
+        atom = atom.strip()
+        if atom in out:
+            raise click.UsageError(f"atom {atom!r} is assigned more than once")
         try:
-            out[atom.strip()] = Fraction(value.strip())
+            out[atom] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise click.UsageError(f"bad probability value {value!r}") from None
     return out
@@ -192,44 +206,30 @@ def hull(diagram_file, assignment, tol, as_json):
     p = _parse_assignment(assignment)
     with _usage_errors():
         result = logic.hull_membership(diagram, p, tol=tol)
-    if as_json:
-        payload = {
-            "verdict": "inside" if result.inside else "outside",
-            "weights": None,
-            "functional": None,
-            "offset": None,
-            "margin": None,
-        }
-        if result.inside:
-            payload["weights"] = [
-                {
-                    "state": [a for a in diagram.atoms if a in s],
-                    "weight": str(w),
-                }
-                for s, w in zip(result.states, result.weights)
-                if w != 0
-            ]
-        else:
-            payload["functional"] = {
-                a: str(c) for a, c in result.functional.items()
-            }
-            payload["offset"] = str(result.offset)
-            payload["margin"] = str(result.margin)
-        _echo_json(payload)
-    elif result.inside:
-        click.echo("inside: convex combination of two-valued states")
-        for s, w in zip(result.states, result.weights):
-            if w != 0:
-                click.echo(f"  {w!s} * {{{' '.join(a for a in diagram.atoms if a in s)}}}")
+    payload = {
+        "verdict": "inside" if result.inside else "outside",
+        "weights": None,
+        "functional": None,
+        "offset": None,
+        "margin": None,
+    }
+    if result.inside:
+        mixed = [([a for a in diagram.atoms if a in s], w)
+                 for s, w in zip(result.states, result.weights) if w != 0]
+        payload["weights"] = [{"state": state, "weight": str(w)}
+                              for state, w in mixed]
+        lines = ["inside: convex combination of two-valued states",
+                 *(f"  {w!s} * {{{' '.join(state)}}}" for state, w in mixed)]
     else:
-        click.echo("outside: separating functional f with f(state) <= c < f(p)")
-        for atom, coef in result.functional.items():
-            if coef != 0:
-                click.echo(f"  f[{atom}] = {coef!s}")
-        click.echo(f"  c = {result.offset!s}")
-        click.echo(f"  margin = {result.margin!s}")
-    if not result.inside:
-        sys.exit(EXIT_NEGATIVE)
+        payload["functional"] = {a: str(c) for a, c in result.functional.items()}
+        payload["offset"] = str(result.offset)
+        payload["margin"] = str(result.margin)
+        lines = ["outside: separating functional f with f(state) <= c < f(p)",
+                 *(f"  f[{atom}] = {coef!s}"
+                   for atom, coef in result.functional.items() if coef != 0),
+                 f"  c = {result.offset!s}",
+                 f"  margin = {result.margin!s}"]
+    _report(as_json, payload, _lines(lines), negative=not result.inside)
 
 
 # --- realizability ----------------------------------------------------------
@@ -255,31 +255,27 @@ def realize(diagram_file, dim, seed, restarts, complex_space, outfile, as_json):
     result = realizability.search_realization(
         diagram, dim, seed=seed, restarts=restarts, complex_space=complex_space
     )
-    if as_json:
-        payload = {
-            "success": result.success,
-            "penalty": result.penalty,
-            "best_restart": result.best_restart,
-            "restart_penalties": list(result.restart_penalties),
-            "vectors": None,
+    payload = {
+        "success": result.success,
+        "penalty": result.penalty,
+        "best_restart": result.best_restart,
+        "restart_penalties": list(result.restart_penalties),
+        "vectors": None,
+    }
+    saved = None
+    if result.success:
+        payload["space"] = result.realization.space
+        payload["vectors"] = {
+            a: _complex_rows(v) for a, v in result.realization.vectors.items()
         }
-        if result.success:
-            payload["space"] = result.realization.space
-            payload["vectors"] = {
-                a: _complex_rows(v) for a, v in result.realization.vectors.items()
-            }
-        _echo_json(payload)
-    elif result.success:
-        click.echo(f"realized (penalty {result.penalty!r}, "
-                   f"restart {result.best_restart})")
-        click.echo(realizability.save_realization(result.realization), nl=False)
+        saved = realizability.save_realization(result.realization)
+        text = (f"realized (penalty {result.penalty!r}, "
+                f"restart {result.best_restart})\n" + saved)
     else:
-        click.echo("no witness found "
-                   f"(best residual {result.penalty!r} over {restarts} restarts)")
-    if result.success and outfile:
-        _write_output(realizability.save_realization(result.realization), outfile)
-    if not result.success:
-        sys.exit(EXIT_NEGATIVE)
+        text = ("no witness found "
+                f"(best residual {result.penalty!r} over {restarts} restarts)\n")
+    _report(as_json, payload, text, negative=not result.success,
+            artefact=saved, outfile=outfile)
 
 
 @main.command("saturate")
@@ -292,26 +288,15 @@ def saturate(diagram_file, as_json):
     diagram = _load(diagram_file, logic.parse_diagram)
     with _usage_errors():
         outcome = realizability.saturate_orthogonality(diagram)
-    if as_json:
-        _echo_json(
-            {
-                "verdict": "refuted"
-                if outcome.verdict == "contradiction"
-                else outcome.verdict,
-                "derivation": [
-                    {
-                        "collinear": list(step.collinear),
+    refuted = outcome.verdict == "contradiction"
+    payload = {
+        "verdict": "refuted" if refuted else outcome.verdict,
+        "derivation": [{"collinear": list(step.collinear),
                         "orthogonal_pair": list(step.orthogonal_pair),
-                        "reasons": list(step.reasons),
-                    }
-                    for step in outcome.derivation
-                ],
-            }
-        )
-    else:
-        click.echo(outcome.render())
-    if outcome.verdict == "contradiction":
-        sys.exit(EXIT_NEGATIVE)
+                        "reasons": list(step.reasons)}
+                       for step in outcome.derivation],
+    }
+    _report(as_json, payload, outcome.render() + "\n", negative=refuted)
 
 
 @main.command("render")
@@ -324,13 +309,9 @@ def render_cmd(diagram_file, style, outfile, as_json):
     """Render a diagram as DOT text."""
     diagram = _load(diagram_file, logic.parse_diagram)
     with _usage_errors():
-        text = logic.render(diagram, style)
-    if not as_json:
-        _write_output(text, outfile)
-        return
-    if outfile:
-        _write_output(text, outfile)
-    _echo_json({"style": style, "dot": text})
+        dot = logic.render(diagram, style)
+    _report(as_json, {"style": style, "dot": dot}, None if outfile else dot,
+            artefact=dot, outfile=outfile)
 
 
 # --- uniqueness -------------------------------------------------------------
@@ -339,22 +320,6 @@ def render_cmd(diagram_file, style, outfile, as_json):
 @main.group("uniq")
 def uniq_group():
     """Outcome-uniqueness analyses of .qs states."""
-
-
-def _report_payload(report) -> dict:
-    return {
-        "unique": report.overall,
-        "term_count": report.term_count,
-        "site_verdicts": list(report.site_verdicts),
-        "possibilities": [
-            {
-                "site": site,
-                "outcome": outcome,
-                "supports": {str(t): list(v) for t, v in sups.items()},
-            }
-            for (site, outcome), sups in report.possibilities.items()
-        ],
-    }
 
 
 @uniq_group.command("check")
@@ -381,37 +346,31 @@ def uniq_check(state_file, rotations, seed, tol, as_json):
                 psi, rotations, seed=seed, tol=tol
             )
     unique = base.overall and all(r.report.overall for r in rotated)
-    if as_json:
-        payload = _report_payload(base)
-        payload["rotations"] = [
-            {
-                "axis": list(r.rotation.axis),
-                "angle": r.rotation.angle,
-                "unique": r.report.overall,
-                "term_count": r.report.term_count,
-            }
+    payload = {
+        "unique": unique,
+        "term_count": base.term_count,
+        "site_verdicts": list(base.site_verdicts),
+        "possibilities": [
+            {"site": site, "outcome": outcome,
+             "supports": {str(t): list(v) for t, v in sups.items()}}
+            for (site, outcome), sups in base.possibilities.items()
+        ],
+        "rotations": [
+            {"axis": list(r.rotation.axis), "angle": r.rotation.angle,
+             "unique": r.report.overall, "term_count": r.report.term_count}
             for r in rotated
-        ]
-        payload["unique"] = unique
-        _echo_json(payload)
-    else:
-        click.echo(f"unique: {str(unique).lower()}")
-        click.echo(f"term count: {base.term_count}")
-        for (site, outcome), sups in base.possibilities.items():
-            ambiguous = {t: v for t, v in sups.items() if len(v) != 1}
-            for t, v in ambiguous.items():
-                click.echo(
-                    f"  site {site} outcome {outcome}: site {t} "
-                    f"still allows {{{', '.join(v)}}}"
-                )
-        if rotated:
-            bad = sum(1 for r in rotated if not r.report.overall)
-            click.echo(
-                f"rotations: {len(rotated)} checked "
-                f"(identity first), {bad} non-unique"
-            )
-    if not unique:
-        sys.exit(EXIT_NEGATIVE)
+        ],
+    }
+    lines = [f"unique: {str(unique).lower()}", f"term count: {base.term_count}"]
+    for (site, outcome), sups in base.possibilities.items():
+        lines += [f"  site {site} outcome {outcome}: site {t} "
+                  f"still allows {{{', '.join(v)}}}"
+                  for t, v in sups.items() if len(v) != 1]
+    if rotated:
+        bad = sum(1 for r in rotated if not r.report.overall)
+        lines.append(f"rotations: {len(rotated)} checked "
+                     f"(identity first), {bad} non-unique")
+    _report(as_json, payload, _lines(lines), negative=not unique)
 
 
 # --- state constructors -------------------------------------------------------
@@ -427,17 +386,15 @@ def catalog(name, outfile, as_json):
 
     with _usage_errors():
         psi = statemod.catalog_state(name)
-    if as_json:
-        _echo_json(
-            {
-                "name": name,
-                "sites": psi.sites,
-                "dim": psi.site_dim,
-                "terms": _terms_payload(psi),
-            }
-        )
-        return
-    _write_output(statemod.write_qs(psi, comment=f"catalog state {name}"), outfile)
+    qs = statemod.write_qs(psi, comment=f"catalog state {name}")
+    payload = {
+        "name": name,
+        "sites": psi.sites,
+        "dim": psi.site_dim,
+        "terms": _terms_payload(psi),
+    }
+    _report(as_json, payload, None if outfile else qs,
+            artefact=qs, outfile=outfile)
 
 
 @main.command("singlet")
@@ -450,20 +407,16 @@ def singlet(dim, sites, as_json):
 
     with _usage_errors():
         basis = statemod.singlet_subspace(dim, sites)
-    if as_json:
-        _echo_json(
-            {
-                "dim": dim,
-                "sites": sites,
-                "count": len(basis),
-                "states": [_terms_payload(psi) for psi in basis],
-            }
-        )
-        return
-    click.echo(f"{len(basis)} singlet state(s) for {sites} site(s) of dimension {dim}")
-    for i, psi in enumerate(basis):
-        click.echo(f"# state {i}")
-        click.echo(statemod.write_qs(psi), nl=False)
+    payload = {
+        "dim": dim,
+        "sites": sites,
+        "count": len(basis),
+        "states": [_terms_payload(psi) for psi in basis],
+    }
+    text = (f"{len(basis)} singlet state(s) for {sites} site(s) of dimension {dim}\n"
+            + "".join(f"# state {i}\n" + statemod.write_qs(psi)
+                      for i, psi in enumerate(basis)))
+    _report(as_json, payload, text)
 
 
 # --- context operators ---------------------------------------------------------
@@ -498,22 +451,19 @@ def context_op(phi, eigs, as_json):
     links = contextops.link_observables(ctx_std, ctx_rot)
     comm = ctx_std.operator @ ctx_rot.operator - ctx_rot.operator @ ctx_std.operator
     comm_max = float(np.max(np.abs(comm)))
-    if as_json:
-        _echo_json(
-            {
-                "phi": phi,
-                "eigenvalues": list(eig_values),
-                "basis": _complex_rows(ctx_rot.basis),
-                "operator": _complex_rows(ctx_rot.operator),
-                "links_with_standard": len(links),
-                "commutator_max_abs": comm_max,
-            }
-        )
-        return
-    click.echo(f"rotated context operator (phi={phi!r}, eigenvalues {eigs}):")
-    _echo_matrix(ctx_rot.operator)
-    click.echo(f"links with the standard context: {len(links)}")
-    click.echo(f"commutator max-abs entry: {comm_max!r}")
+    payload = {
+        "phi": phi,
+        "eigenvalues": list(eig_values),
+        "basis": _complex_rows(ctx_rot.basis),
+        "operator": _complex_rows(ctx_rot.operator),
+        "links_with_standard": len(links),
+        "commutator_max_abs": comm_max,
+    }
+    text = _lines([f"rotated context operator (phi={phi!r}, eigenvalues {eigs}):",
+                   *_matrix_lines(ctx_rot.operator),
+                   f"links with the standard context: {len(links)}",
+                   f"commutator max-abs entry: {comm_max!r}"])
+    _report(as_json, payload, text)
 
 
 def _read_matrix(text: str):
@@ -540,12 +490,12 @@ def split(matrix_file, as_json):
     from . import contexts as contextops
 
     a1, a2 = contextops.split_selfadjoint(_load(matrix_file, _read_matrix))
-    if as_json:
-        _echo_json({"real_part": _complex_rows(a1), "imag_part": _complex_rows(a2)})
-        return
-    for label, mat in (("A1 (self-adjoint)", a1), ("A2 (self-adjoint)", a2)):
-        click.echo(label + ":")
-        _echo_matrix(mat)
+    text = _lines([line
+                   for label, mat in (("A1 (self-adjoint)", a1),
+                                      ("A2 (self-adjoint)", a2))
+                   for line in (label + ":", *_matrix_lines(mat))])
+    _report(as_json, {"real_part": _complex_rows(a1), "imag_part": _complex_rows(a2)},
+            text)
 
 
 if __name__ == "__main__":

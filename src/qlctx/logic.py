@@ -130,6 +130,21 @@ def link_atoms(diagram: GreechieDiagram) -> tuple[str, ...]:
     return tuple(a for a in diagram.atoms if counts[a] >= 2)
 
 
+def orthogonal_pairs(diagram: GreechieDiagram) -> dict[tuple[str, str], int]:
+    """Every pair of atoms that share a context, mapped to the index of the
+    first context holding both.
+
+    Each pair appears once, in the orientation and the order in which the
+    contexts, read in file order, first list it.
+    """
+    pairs: dict[tuple[str, str], int] = {}
+    for ci, ctx in enumerate(diagram.contexts):
+        for x, y in itertools.combinations(ctx, 2):
+            if (y, x) not in pairs:
+                pairs.setdefault((x, y), ci)
+    return pairs
+
+
 def _atom_bits(diagram: GreechieDiagram) -> list[int]:
     """The bit of each atom in a state mask, atom 0 the most significant."""
     n = len(diagram.atoms)
@@ -426,12 +441,7 @@ def render(diagram: GreechieDiagram, style: str) -> str:
         for atom in diagram.atoms:
             lines.append(f"  {_q(atom)};")
         if style == "dot":
-            seen = set()
-            for ctx in diagram.contexts:
-                for x, y in itertools.combinations(ctx, 2):
-                    if frozenset((x, y)) not in seen:
-                        seen.add(frozenset((x, y)))
-                        lines.append(f"  {_q(x)} -- {_q(y)};")
+            lines += [f"  {_q(x)} -- {_q(y)};" for x, y in orthogonal_pairs(diagram)]
         else:
             for i, ctx in enumerate(diagram.contexts):
                 color = _PALETTE[i % len(_PALETTE)]

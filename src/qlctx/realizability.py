@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _text
-from .logic import GreechieDiagram
+from .logic import GreechieDiagram, orthogonal_pairs
 
 DISTINCTNESS_MARGIN = 0.05
 SUCCESS_PENALTY = 1e-12
@@ -88,16 +88,14 @@ def saturate_orthogonality(diagram: GreechieDiagram) -> SaturationOutcome:
         raise ValueError("the saturation rule is specific to dimension 3")
     atoms = diagram.atoms
     index = {a: i for i, a in enumerate(atoms)}
-    provenance: dict[frozenset, int] = {}
+    pairs = orthogonal_pairs(diagram)
     neighbours: list[set[int]] = [set() for _ in atoms]
-    for ci, ctx in enumerate(diagram.contexts):
-        for x, y in itertools.combinations(ctx, 2):
-            neighbours[index[x]].add(index[y])
-            neighbours[index[y]].add(index[x])
-            provenance.setdefault(frozenset((x, y)), ci)
+    for x, y in pairs:
+        neighbours[index[x]].add(index[y])
+        neighbours[index[y]].add(index[x])
 
     def cite(x, y):
-        ci = provenance[frozenset((x, y))]
+        ci = pairs.get((x, y), pairs.get((y, x)))
         return f"{x} ⊥ {y}  (context {ci + 1}: {' '.join(diagram.contexts[ci])})"
 
     for iu, nu in enumerate(neighbours):
@@ -404,10 +402,9 @@ def search_realization(
     n = len(atoms)
     index = {a: i for i, a in enumerate(atoms)}
     orth_mask = np.zeros((n, n), dtype=bool)
-    for ctx in diagram.contexts:
-        for x, y in itertools.combinations(ctx, 2):
-            orth_mask[index[x], index[y]] = True
-            orth_mask[index[y], index[x]] = True
+    for x, y in orthogonal_pairs(diagram):
+        orth_mask[index[x], index[y]] = True
+        orth_mask[index[y], index[x]] = True
     offdiag = ~np.eye(n, dtype=bool)
     t2 = (1.0 - margin) ** 2
     width = 2 * dim if complex_space else dim
@@ -491,17 +488,13 @@ def verify_realization(
         defect = abs(float(np.linalg.norm(v)) - 1.0)
         if defect > tol:
             violations.append(("norm", (atom,), defect))
-    checked = set()
-    for ctx in diagram.contexts:
-        for x, y in itertools.combinations(ctx, 2):
-            if frozenset((x, y)) in checked:
-                continue
-            checked.add(frozenset((x, y)))
-            ov = abs(complex(np.vdot(vecs[x], vecs[y])))
-            if ov > tol:
-                violations.append(("orthogonality", (x, y), float(ov)))
+    pairs = orthogonal_pairs(diagram)
+    for x, y in pairs:
+        ov = abs(complex(np.vdot(vecs[x], vecs[y])))
+        if ov > tol:
+            violations.append(("orthogonality", (x, y), float(ov)))
     for x, y in itertools.combinations(diagram.atoms, 2):
-        if frozenset((x, y)) in checked:
+        if (x, y) in pairs or (y, x) in pairs:
             continue
         ov = abs(complex(np.vdot(vecs[x], vecs[y])))
         if ov > 1.0 - margin + tol:

@@ -219,6 +219,15 @@ class TestStateConstructors:
         assert result.exit_code == 0
         assert read_qs(out.read_text()).sites == 3
 
+    def test_catalog_json_to_file(self, tmp_path):
+        # -o writes the .qs artefact whether or not --json prints the payload
+        out = tmp_path / "psi2.qs"
+        result = run("catalog", "psi2", "--json", "-o", out)
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["name"] == "psi2"
+        assert np.allclose(read_qs(out.read_text()).coeffs,
+                           catalog_state("psi2").coeffs)
+
     def test_catalog_unknown_name(self):
         result = run("catalog", "psi9")
         assert result.exit_code == 2
@@ -363,6 +372,11 @@ class TestBadInputExits2:
         result = run("uniq", "check", corpus.data_path("psi2"), "--tol", "-1")
         assert_usage_error(result, "--tol")
 
+    def test_hull_repeated_atom(self):
+        # keeping the last value would give a verdict on an input never given
+        result = run("hull", corpus.data_path("fig1"), "--p", "A=1,A=0")
+        assert_usage_error(result, "atom 'A' is assigned more than once")
+
     def test_hull_negative_tol(self):
         result = run("hull", corpus.data_path("fig1"), "--p", "A=1",
                      "--tol", "-1")
@@ -398,9 +412,11 @@ class TestBadInputExits2:
 
     def test_realize_unwritable_output(self, tmp_path):
         out = tmp_path / "missing" / "fig1.real"
-        result = run("realize", corpus.data_path("fig1"), "--dim", "3",
-                     "--restarts", "3", "-o", out)
-        assert_usage_error(result, f"cannot write {out}")
+        for mode in ((), ("--json",)):
+            result = run("realize", corpus.data_path("fig1"), "--dim", "3",
+                         "--restarts", "3", "-o", out, *mode)
+            assert_usage_error(result, f"cannot write {out}")
+            assert result.stdout == ""  # no report before the error
 
     def test_render_unwritable_output(self, tmp_path):
         out = tmp_path / "missing" / "fig1.dot"
@@ -450,6 +466,56 @@ class TestBadInputExits2:
         out = tmp_path / "missing" / "psi2.qs"
         result = run("catalog", "psi2", "-o", out)
         assert_usage_error(result, f"cannot write {out}")
+
+
+EXIT_CONTRACT = [
+    (("states", "enumerate", "@fig1"), 0),
+    (("states", "enumerate", "cycle.gd"), 1),
+    (("states", "classify", "@fig1"), 0),
+    (("states", "classify", "@fig3"), 1),
+    (("states", "classify", "missing.gd"), 2),
+    (("hull", "@fig1", "--p", "A=1"), 0),
+    (("hull", "@fig1", "--p", "A=1,B=1/2"), 1),
+    (("hull", "@fig1", "--p", "A=1,A=0"), 2),
+    (("realize", "@fig2a", "--dim", "3", "--restarts", "2"), 0),
+    (("realize", "@fig2b", "--dim", "3", "--restarts", "2"), 1),
+    (("realize", "@fig1", "--dim", "1"), 2),
+    (("saturate", "@fig2a"), 0),
+    (("saturate", "@fig2b"), 1),
+    (("saturate", "cycle.gd"), 2),
+    (("render", "@fig1", "--style", "greechie"), 0),
+    (("render", "cycle.gd", "--style", "tkadlec"), 2),
+    (("uniq", "check", "@psi2"), 0),
+    (("uniq", "check", "@psi3"), 1),
+    (("uniq", "check", "@psi3", "--tol", "5"), 2),
+    (("catalog", "psi3"), 0),
+    (("catalog", "psi9"), 2),
+    (("singlet", "--dim", "3", "--sites", "2"), 0),
+    (("singlet", "--dim", "3", "--sites", "12"), 2),
+    (("context", "op", "--phi", "0.5"), 0),
+    (("context", "op", "--phi", "0.5", "--eigs", "1,1,2"), 2),
+    (("split", "--matrix", "matrix.txt"), 0),
+    (("split", "--matrix", "missing.txt"), 2),
+]
+
+
+class TestExitContract:
+    """Text and --json give the same exit code; --json prints JSON or, on
+    a usage error, nothing on stdout.  ``@name`` is a corpus file."""
+
+    @pytest.mark.parametrize("args,code", EXIT_CONTRACT,
+                             ids=[" ".join(a) for a, _ in EXIT_CONTRACT])
+    def test_text_and_json_agree(self, tmp_path, monkeypatch, args, code):
+        monkeypatch.chdir(tmp_path)
+        Path("cycle.gd").write_text("context a b\ncontext b c\ncontext c a\n")
+        Path("matrix.txt").write_text("1+2j 3\n0 4j\n")
+        args = [corpus.data_path(a[1:]) if a.startswith("@") else a for a in args]
+        text, as_json = run(*args), run(*args, "--json")
+        assert text.exit_code == as_json.exit_code == code
+        if code == 2:
+            assert as_json.stdout == ""
+        else:
+            json.loads(as_json.stdout)
 
 
 def _heavy_modules_after(code):

@@ -17,6 +17,7 @@ from qlctx.logic import (
     link_atoms,
     make_diagram,
     nonseparating_pairs,
+    orthogonal_pairs,
     parse_diagram,
     render,
     two_valued_states,
@@ -586,6 +587,28 @@ class TestHullMembership:
             hull_membership(single_context(), {"A": 1}, tol=value)
         with pytest.raises(ValueError, match="not a finite number"):
             hull_membership(single_context(), {"A": value})
+
+
+class TestOrthogonalPairs:
+    def test_first_orientation_and_first_context(self):
+        # (a, b) comes back as (b, a) in the second context; it keeps its
+        # first orientation and the first context's index
+        d = make_diagram([("a", "b", "c"), ("d", "b", "a")])
+        assert list(orthogonal_pairs(d).items()) == [
+            (("a", "b"), 0), (("a", "c"), 0), (("b", "c"), 0),
+            (("d", "b"), 1), (("d", "a"), 1),
+        ]
+
+    def test_seeded_random_diagrams_every_pair_once(self):
+        for seed in range(200):
+            d = random_diagram(np.random.default_rng(seed))
+            pairs = orthogonal_pairs(d)
+            assert len({frozenset(p) for p in pairs}) == len(pairs)
+            expected = {}
+            for ci, ctx in enumerate(d.contexts):
+                for x, y in itertools.combinations(ctx, 2):
+                    expected.setdefault(frozenset((x, y)), ci)
+            assert {frozenset(p): ci for p, ci in pairs.items()} == expected
 
 
 class TestRender:
