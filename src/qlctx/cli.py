@@ -16,6 +16,7 @@ command pays start-up only for what it runs.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -255,6 +256,21 @@ def realize(diagram_file, dim, seed, restarts, complex_space, outfile, as_json):
     result = realizability.search_realization(
         diagram, dim, seed=seed, restarts=restarts, complex_space=complex_space
     )
+    refutation = result.refutation
+    if refutation is not None:
+        if isinstance(refutation, realizability.OversizedContext):
+            proof = {"rule": "context_size", "context": refutation.number,
+                     "atoms": list(refutation.atoms), "dim": refutation.dim}
+        else:
+            proof = {"rule": "saturation",
+                     "derivation": _derivation(refutation)}
+        # a proof has no residual: penalty and best restart are null, as
+        # the inf penalty is not JSON
+        payload = {"success": False, "penalty": None, "best_restart": None,
+                   "restart_penalties": [], "vectors": None,
+                   "refutation": proof}
+        _report(as_json, payload, refutation.render() + "\n", negative=True)
+        return
     payload = {
         "success": result.success,
         "penalty": result.penalty,
@@ -278,24 +294,26 @@ def realize(diagram_file, dim, seed, restarts, complex_space, outfile, as_json):
             artefact=saved, outfile=outfile)
 
 
+def _derivation(outcome) -> list:
+    return [{"collinear": list(step.collinear),
+             "orthogonal_pair": list(step.orthogonal_pair),
+             "reasons": list(step.reasons)}
+            for step in outcome.derivation]
+
+
 @main.command("saturate")
 @click.argument("diagram_file")
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def saturate(diagram_file, as_json):
     """Run the dimension-3 orthogonality saturation rule on a diagram."""
-    from . import realizability
+    from .saturation import saturate_orthogonality
 
     diagram = _load(diagram_file, logic.parse_diagram)
     with _usage_errors():
-        outcome = realizability.saturate_orthogonality(diagram)
+        outcome = saturate_orthogonality(diagram)
     refuted = outcome.verdict == "contradiction"
-    payload = {
-        "verdict": "refuted" if refuted else outcome.verdict,
-        "derivation": [{"collinear": list(step.collinear),
-                        "orthogonal_pair": list(step.orthogonal_pair),
-                        "reasons": list(step.reasons)}
-                       for step in outcome.derivation],
-    }
+    payload = {"verdict": "refuted" if refuted else outcome.verdict,
+               "derivation": _derivation(outcome)}
     _report(as_json, payload, outcome.render() + "\n", negative=refuted)
 
 
@@ -445,12 +463,17 @@ def context_op(phi, eigs, as_json):
     with _usage_errors("--eigs"):
         eig_values = tuple(_text.finite(x) for x in eigs.split(","))
     standard, rotated = contextops.two_tripod_bases(phi)
-    with _usage_errors():
+    # finite eigenvalues near the float limit can overflow the operator or
+    # the commutator; that is refused below, in text and JSON alike
+    with _usage_errors(), np.errstate(over="ignore", invalid="ignore"):
         ctx_rot = contextops.context_operator(rotated, eig_values)
-    ctx_std = contextops.context_operator(standard, (1.0, 2.0, 3.0))
-    links = contextops.link_observables(ctx_std, ctx_rot)
-    comm = ctx_std.operator @ ctx_rot.operator - ctx_rot.operator @ ctx_std.operator
+        ctx_std = contextops.context_operator(standard, (1.0, 2.0, 3.0))
+        comm = (ctx_std.operator @ ctx_rot.operator
+                - ctx_rot.operator @ ctx_std.operator)
     comm_max = float(np.max(np.abs(comm)))
+    if not (math.isfinite(comm_max) and np.isfinite(ctx_rot.operator).all()):
+        raise click.UsageError("result out of floating-point range")
+    links = contextops.link_observables(ctx_std, ctx_rot)
     payload = {
         "phi": phi,
         "eigenvalues": list(eig_values),

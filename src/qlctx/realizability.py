@@ -5,18 +5,22 @@ context are orthogonal and distinct atoms stay non-collinear (their overlap
 magnitude must not exceed 1 - DISTINCTNESS_MARGIN; coincident rays would
 merge two atoms the diagram declares distinct).
 
-Two complementary deciders are provided:
+``search_realization`` decides in two stages:
 
-* ``saturate_orthogonality`` - a combinatorial refutation rule specific to
-  dimension 3: an atom orthogonal to two orthogonal atoms u, w is pinned to
-  the unique ray orthogonal to both, so two distinct atoms orthogonal to the
-  same orthogonal pair are forced collinear.  A derived collinearity between
-  distinct atoms is a proof of non-realizability.
-* ``search_realization`` - a numerical witness search minimizing an
-  orthogonality-plus-collinearity penalty over a product of unit spheres
-  from seeded random restarts by L-BFGS descent (``minimize``, numpy
-  only), in one stage.  All restarts of a block advance together, one
-  stacked penalty evaluation per step, with each restart's result
+* a proof stage of two exact rules.  A context of k atoms needs k mutually
+  orthogonal vectors, so a dimension below the diagram's is refuted
+  (``OversizedContext``).  In dimension 3, ``saturate_orthogonality`` (the
+  pure-Python rule of ``qlctx.saturation``, looked up in this module's
+  globals) pins an atom orthogonal to an orthogonal pair to the one ray
+  orthogonal to both, so two distinct atoms orthogonal to the same pair
+  are forced collinear (``SaturationOutcome``).  Both rules hold in C^d as
+  in R^d.  A refutation is returned at once, as the result's
+  ``refutation``, and no restart runs.
+* a numerical stage (``_numerical_search``) for every diagram the rules
+  leave open: it minimizes an orthogonality-plus-collinearity penalty over
+  a product of unit spheres from seeded random restarts by L-BFGS descent
+  (``minimize``, numpy only).  All restarts of a block advance together,
+  one stacked penalty evaluation per step, with each restart's result
   independent of the batch it runs in.  Success is a proof, and only a
   witness that ``verify_realization`` accepts counts; failure is only
   evidence and is reported as "no witness found" with the best residual.
@@ -33,6 +37,7 @@ import numpy as np
 
 from . import _text
 from .logic import GreechieDiagram, orthogonal_pairs
+from .saturation import SaturationOutcome, saturate_orthogonality
 
 DISTINCTNESS_MARGIN = 0.05
 SUCCESS_PENALTY = 1e-12
@@ -44,75 +49,7 @@ SUCCESS_PENALTY = 1e-12
 BATCH_CELLS = 1 << 16
 
 
-# --- saturation -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SaturationStep:
-    collinear: tuple[str, str]
-    orthogonal_pair: tuple[str, str]
-    reasons: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SaturationOutcome:
-    verdict: str  # "contradiction" | "no_contradiction"
-    derivation: tuple[SaturationStep, ...] = ()
-
-    def render(self) -> str:
-        if self.verdict == "no_contradiction":
-            return "no contradiction: the dimension-3 saturation rule derives nothing"
-        lines = []
-        for step in self.derivation:
-            x, y = step.collinear
-            u, w = step.orthogonal_pair
-            lines.append(
-                f"atoms {x}, {y} forced collinear: both are orthogonal to "
-                f"the orthogonal pair {{{u}, {w}}}"
-            )
-            lines.extend(f"  {r}" for r in step.reasons)
-        lines.append("refuted: two distinct atoms cannot share a ray")
-        return "\n".join(lines)
-
-
-def saturate_orthogonality(diagram: GreechieDiagram) -> SaturationOutcome:
-    """Apply the dimension-3 cross-ray deduction rule to closure.
-
-    The orthogonality relation of a diagram only grows through collinearity
-    merges, and the first merge of two distinct atoms already refutes
-    realizability, so a single pass over all orthogonal pairs is exhaustive.
-    Pairs {u, w} are taken in atom order, and the atoms orthogonal to both
-    are the intersection of their neighbour sets.
-    """
-    if diagram.dim != 3:
-        raise ValueError("the saturation rule is specific to dimension 3")
-    atoms = diagram.atoms
-    index = {a: i for i, a in enumerate(atoms)}
-    pairs = orthogonal_pairs(diagram)
-    neighbours: list[set[int]] = [set() for _ in atoms]
-    for x, y in pairs:
-        neighbours[index[x]].add(index[y])
-        neighbours[index[y]].add(index[x])
-
-    def cite(x, y):
-        ci = pairs.get((x, y), pairs.get((y, x)))
-        return f"{x} ⊥ {y}  (context {ci + 1}: {' '.join(diagram.contexts[ci])})"
-
-    for iu, nu in enumerate(neighbours):
-        for iw in sorted(iw for iw in nu if iw > iu):
-            shared = neighbours[iu] & neighbours[iw]
-            if len(shared) >= 2:
-                u, w = atoms[iu], atoms[iw]
-                x, y = (atoms[i] for i in sorted(shared)[:2])
-                reasons = (
-                    cite(u, w), cite(x, u), cite(x, w), cite(y, u), cite(y, w),
-                )
-                step = SaturationStep((x, y), (u, w), reasons)
-                return SaturationOutcome("contradiction", (step,))
-    return SaturationOutcome("no_contradiction")
-
-
-# --- numerical witness search ------------------------------------------------
+# --- realization search ------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,13 +60,35 @@ class Realization:
     space: str = "real"
 
 
+@dataclass(frozen=True)
+class OversizedContext:
+    """Proof that no realization exists in ``dim`` dimensions: context
+    ``number`` (counted from 1) has more atoms than ``dim`` mutually
+    orthogonal vectors can fill."""
+
+    number: int
+    atoms: tuple[str, ...]
+    dim: int
+
+    def render(self) -> str:
+        k = len(self.atoms)
+        return (f"context {self.number} ({' '.join(self.atoms)}) has {k} atoms, "
+                f"which need {k} mutually orthogonal vectors\n"
+                f"refuted: dimension {self.dim} holds at most {self.dim} "
+                "mutually orthogonal vectors")
+
+
 @dataclass(frozen=True, eq=False)
 class SearchResult:
+    """A search's verdict.  A refuted diagram has ``refutation`` set, a
+    penalty of inf, no restart penalties and no best restart."""
+
     success: bool
     realization: Realization | None
     penalty: float
     restart_penalties: tuple[float, ...]
-    best_restart: int
+    best_restart: int | None
+    refutation: OversizedContext | SaturationOutcome | None = None
 
 
 def _apply_j(v: np.ndarray) -> np.ndarray:
@@ -378,6 +337,32 @@ def search_realization(
     complex_space: bool = False,
     margin: float = DISTINCTNESS_MARGIN,
 ) -> SearchResult:
+    """Decide whether ``diagram`` has a realization by unit vectors in
+    ``dim`` dimensions: prove that it has none, or else search for one.
+
+    The proof stage refutes a ``dim`` below the diagram's dimension
+    (``OversizedContext``) and, when both are 3, whatever
+    ``saturate_orthogonality`` refutes.  A refuted diagram returns at once
+    with its ``refutation``, a penalty of inf and no restart run.  Every
+    other diagram goes to ``_numerical_search`` with the same arguments.
+    """
+    if dim < 2:
+        raise ValueError("realization dimension must be >= 2")
+    if restarts < 1:
+        raise ValueError("need at least one restart")
+    refutation = None
+    if dim < diagram.dim:
+        refutation = OversizedContext(1, diagram.contexts[0], dim)
+    elif dim == diagram.dim == 3:
+        outcome = saturate_orthogonality(diagram)
+        if outcome.verdict == "contradiction":
+            refutation = outcome
+    if refutation is not None:
+        return SearchResult(False, None, math.inf, (), None, refutation)
+    return _numerical_search(diagram, dim, seed, restarts, complex_space, margin)
+
+
+def _numerical_search(diagram, dim, seed, restarts, complex_space, margin):
     """Search for a realization of ``diagram`` by unit vectors in ``dim``
     dimensions.
 
@@ -394,10 +379,6 @@ def search_realization(
     restart r's penalty and vectors are the same whatever the block size or
     the restart count.
     """
-    if dim < 2:
-        raise ValueError("realization dimension must be >= 2")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
     atoms = diagram.atoms
     n = len(atoms)
     index = {a: i for i, a in enumerate(atoms)}

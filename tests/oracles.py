@@ -170,7 +170,7 @@ def from_terms(sites: int, site_dim: int, terms) -> MultipartiteState:
 def reference_saturate_orthogonality(diagram: GreechieDiagram):
     """The saturation scan that the neighbour-set intersection replaced:
     every pair of atoms, in atom order, against every atom."""
-    from qlctx.realizability import SaturationOutcome, SaturationStep
+    from qlctx.saturation import SaturationOutcome, SaturationStep
 
     provenance: dict[frozenset, int] = {}
     neighbours: dict[str, set[str]] = {a: set() for a in diagram.atoms}

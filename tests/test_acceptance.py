@@ -10,12 +10,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from qlctx import corpus
+from qlctx import corpus, realizability
 from qlctx.contexts import context_operator, two_tripod_bases
 from qlctx.linalg import dyad
 from qlctx.logic import classify, hull_membership, two_valued_states
 from qlctx.realizability import (
+    DISTINCTNESS_MARGIN,
     SUCCESS_PENALTY,
+    _numerical_search,
     saturate_orthogonality,
     search_realization,
     verify_realization,
@@ -130,7 +132,7 @@ def test_criterion_06_form_invariance():
         assert not ok
 
 
-def test_criterion_07_realizability_split():
+def test_criterion_07_realizability_split(monkeypatch):
     with criterion(7, "realizability split"):
         fig2a = corpus.load("fig2a")
         assert saturate_orthogonality(fig2a).verdict == "no_contradiction"
@@ -143,10 +145,16 @@ def test_criterion_07_realizability_split():
         outcome = saturate_orthogonality(fig2b)
         assert outcome.verdict == "contradiction"
         assert "forced collinear" in outcome.render()
-        missing = search_realization(fig2b, 3, seed=0, restarts=50)
+        # the numerical stage alone fails on every restart ...
+        missing = _numerical_search(fig2b, 3, 0, 50, False, DISTINCTNESS_MARGIN)
         assert not missing.success
         assert missing.penalty > 0.01
         assert min(missing.restart_penalties) > 0.01
+        # ... and the search returns the derivation without running it
+        monkeypatch.setattr(realizability, "minimize", None)
+        proved = search_realization(fig2b, 3, seed=0, restarts=50)
+        assert proved.refutation == outcome
+        assert not proved.success and proved.restart_penalties == ()
 
 
 def test_criterion_08_rotated_context_operator():

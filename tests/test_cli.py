@@ -117,7 +117,48 @@ class TestRealizabilityCommands:
         result = run("realize", corpus.data_path("fig2b"), "--dim", "3",
                      "--seed", "0", "--restarts", "4")
         assert result.exit_code == 1
-        assert "no witness found" in result.output
+        # refuted by the saturation derivation, before any search
+        assert result.output == (GOLDEN / "saturate_fig2b.txt").read_text()
+
+    def test_realize_fig2b_json_holds_the_derivation(self, monkeypatch):
+        from qlctx import realizability
+
+        monkeypatch.setattr(realizability, "minimize", None)
+        result = run("realize", corpus.data_path("fig2b"), "--dim", "3",
+                     "--json")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        got = json.loads(result.output)
+        saturated = json.loads(run("saturate", corpus.data_path("fig2b"),
+                                   "--json").output)
+        assert got == {"success": False, "penalty": None, "best_restart": None,
+                       "restart_penalties": [], "vectors": None,
+                       "refutation": {"rule": "saturation",
+                                      "derivation": saturated["derivation"]}}
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_realize_below_the_context_size(self, monkeypatch, tmp_path,
+                                            as_json):
+        from qlctx import realizability
+
+        monkeypatch.setattr(realizability, "minimize", None)
+        out = tmp_path / "fig1.real"
+        result = run("realize", corpus.data_path("fig1"), "--dim", "2",
+                     "-o", out, *(["--json"] if as_json else []))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert not out.exists()
+        if as_json:
+            got = json.loads(result.output)
+            assert got["penalty"] is None and got["restart_penalties"] == []
+            assert got["refutation"] == {"rule": "context_size", "context": 1,
+                                         "atoms": ["B", "C", "A"], "dim": 2}
+        else:
+            assert result.output == (
+                "context 1 (B C A) has 3 atoms, which need 3 mutually "
+                "orthogonal vectors\n"
+                "refuted: dimension 2 holds at most 2 mutually orthogonal "
+                "vectors\n")
 
     def test_realize_writes_loadable_file(self, tmp_path):
         out = tmp_path / "fig1.real"
@@ -454,13 +495,22 @@ class TestBadInputExits2:
             result = run("context", "op", "--phi", phi)
             assert_usage_error(result, f"--phi: {phi} is not a finite number")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # a warning fails these two tests: none may reach stderr
+    @pytest.mark.filterwarnings("error")
     def test_json_overflow_refused(self):
         # finite eigenvalues near the float limit overflow the commutator;
         # NaN and Infinity are not JSON, so the result is refused
         result = run("context", "op", "--phi", "0.7", "--eigs",
                      "1.7e308,1.6e308,0", "--json")
         assert_usage_error(result, "result out of floating-point range")
+
+    @pytest.mark.filterwarnings("error")
+    def test_text_overflow_refused(self):
+        # text mode refuses it too, with the same message, and prints no nan
+        result = run("context", "op", "--phi", "0.7", "--eigs",
+                     "1.7e308,1.6e308,0")
+        assert_usage_error(result, "Error: result out of floating-point range\n")
+        assert "nan" not in result.output
 
     def test_catalog_unwritable_output(self, tmp_path):
         out = tmp_path / "missing" / "psi2.qs"
@@ -480,6 +530,7 @@ EXIT_CONTRACT = [
     (("realize", "@fig2a", "--dim", "3", "--restarts", "2"), 0),
     (("realize", "@fig2b", "--dim", "3", "--restarts", "2"), 1),
     (("realize", "@fig1", "--dim", "1"), 2),
+    (("realize", "@fig1", "--dim", "2"), 1),
     (("saturate", "@fig2a"), 0),
     (("saturate", "@fig2b"), 1),
     (("saturate", "cycle.gd"), 2),
@@ -540,6 +591,12 @@ class TestLeanImports:
 
     def test_corpus_diagram_leaves_out_numpy_and_scipy(self):
         code = "from qlctx import corpus\ncorpus.load('fig1')"
+        assert _heavy_modules_after(code) == []
+
+    def test_saturate_leaves_out_numpy_and_scipy(self):
+        code = ("from qlctx.cli import main\n"
+                f"main(['saturate', {str(corpus.data_path('fig2a'))!r}],"
+                " standalone_mode=False)")
         assert _heavy_modules_after(code) == []
 
     def test_realize_leaves_out_scipy(self):

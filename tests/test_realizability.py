@@ -14,12 +14,15 @@ from oracles import (
 from qlctx import corpus, realizability
 from qlctx.logic import make_diagram
 from qlctx.realizability import (
+    DISTINCTNESS_MARGIN,
     LINE_SEARCH_EVALS,
     MAXFUN,
     MAXITER,
     MEMORY,
+    OversizedContext,
     Realization,
     SUCCESS_PENALTY,
+    _numerical_search,
     _value_and_grad,
     born_probabilities,
     load_realization,
@@ -63,6 +66,31 @@ def tadpole(tail: int):
     chain[-1] = (f"t{tail - 1}", f"s{tail - 1}", "m0")
     return make_diagram(chain + [("c0", "m0", "c1"), ("c1", "m1", "c2"),
                                  ("c2", "m2", "c0")])
+
+
+def numerical(diagram, dim, seed=0, restarts=20, complex_space=False):
+    """The search's numerical stage alone, run even where the proof stage
+    would refute."""
+    return _numerical_search(diagram, dim, seed, restarts, complex_space,
+                             DISTINCTNESS_MARGIN)
+
+
+def no_search(*args, **kwargs):
+    raise AssertionError("a refuted diagram must not be searched")
+
+
+def assert_proved(diagram, dim=3, **kwargs):
+    """The public search returns the saturation derivation and runs no
+    restart."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(realizability, "minimize", no_search)
+        result = search_realization(diagram, dim, **kwargs)
+    assert result.refutation == saturate_orthogonality(diagram)
+    assert result.refutation.verdict == "contradiction"
+    assert not result.success and result.realization is None
+    assert result.penalty == math.inf
+    assert result.restart_penalties == ()
+    assert result.best_restart is None
 
 
 # chains and rings of tripods are realizable in R^3 and C^3
@@ -140,18 +168,20 @@ class TestSearch:
         assert ok
 
     def test_fig2b_fails_with_large_residual(self):
-        result = search_realization(corpus.load("fig2b"), 3, seed=0, restarts=8)
+        result = numerical(corpus.load("fig2b"), 3, seed=0, restarts=8)
         assert not result.success
         assert result.realization is None
         assert result.penalty > 0.01
         assert len(result.restart_penalties) == 8
+        assert_proved(corpus.load("fig2b"), seed=0, restarts=8)
 
     def test_deterministic_given_seed(self):
-        a = search_realization(corpus.load("fig2b"), 3, seed=1, restarts=4)
-        b = search_realization(corpus.load("fig2b"), 3, seed=1, restarts=4)
+        a = numerical(corpus.load("fig2b"), 3, seed=1, restarts=4)
+        b = numerical(corpus.load("fig2b"), 3, seed=1, restarts=4)
         assert a.penalty == b.penalty
         assert a.restart_penalties == b.restart_penalties
         assert a.best_restart == b.best_restart
+        assert_proved(corpus.load("fig2b"), seed=1, restarts=4)
 
     def test_complex_flag(self):
         result = search_realization(
@@ -246,6 +276,64 @@ class TestSearch:
             f, _ = _value_and_grad(shifted, *args)
             fd = (f[:len(ks)] - f[len(ks):]) / (2 * eps)
             assert np.all(np.abs(fd - grad[0, ks]) < 1e-5)
+
+
+class TestProofStage:
+    def test_random_diagrams_refuted_exactly_or_searched(self, monkeypatch):
+        verdicts = set()
+        for seed in range(100):
+            d = random_diagram(np.random.default_rng(seed))
+            reference = reference_saturate_orthogonality(d)
+            verdicts.add(reference.verdict)
+            if reference.verdict == "contradiction":
+                with monkeypatch.context() as patch:
+                    patch.setattr(realizability, "minimize", no_search)
+                    result = search_realization(d, 3, seed=seed, restarts=1)
+                assert result.refutation == reference
+                assert result.restart_penalties == ()
+                assert not result.success and result.penalty == math.inf
+            else:
+                result = search_realization(d, 3, seed=seed, restarts=1)
+                assert result.refutation is None
+                assert result.restart_penalties == \
+                    numerical(d, 3, seed=seed, restarts=1).restart_penalties
+        assert verdicts == {"contradiction", "no_contradiction"}
+
+    @pytest.mark.parametrize("complex_space", [False, True])
+    def test_context_larger_than_the_dimension(self, monkeypatch,
+                                               complex_space):
+        monkeypatch.setattr(realizability, "minimize", no_search)
+        result = search_realization(corpus.load("fig1"), 2,
+                                    complex_space=complex_space)
+        assert result.refutation == OversizedContext(1, ("B", "C", "A"), 2)
+        assert not result.success and result.realization is None
+        assert result.penalty == math.inf
+        assert result.restart_penalties == ()
+        assert result.best_restart is None
+        assert result.refutation.render().startswith("context 1 (B C A) has 3")
+
+    def test_saturation_refutes_complex_searches(self):
+        assert_proved(corpus.load("fig2b"), complex_space=True)
+
+    def test_search_calls_saturation_through_the_module(self, monkeypatch):
+        # benchmark tracing replaces realizability.saturate_orthogonality by
+        # name; it runs only where the diagram and the search are in dim 3
+        calls = []
+
+        def counted(diagram):
+            calls.append(diagram)
+            return saturate_orthogonality(diagram)
+
+        monkeypatch.setattr(realizability, "saturate_orthogonality", counted)
+        fig1 = corpus.load("fig1")
+        for dim in (2, 3, 4):
+            search_realization(fig1, dim, seed=0, restarts=1)
+        assert len(calls) == 1 and calls[0] is fig1
+
+    def test_larger_dimensions_are_searched(self):
+        result = search_realization(corpus.load("fig2b"), 4, seed=0, restarts=2)
+        assert result.refutation is None
+        assert len(result.restart_penalties) == 2
 
 
 class TestMinimize:
@@ -375,8 +463,8 @@ class TestBatch:
     @pytest.mark.parametrize("rows", [1, 4])
     def test_blocks_change_nothing(self, monkeypatch, diagram, complex_space,
                                    rows):
-        whole = search_realization(diagram, 3, seed=0, restarts=10,
-                                   complex_space=complex_space)
+        whole = numerical(diagram, 3, seed=0, restarts=10,
+                          complex_space=complex_space)
         # a restart counts its n x n overlap cells or, when that is more,
         # its L-BFGS pairs of n·w coordinates
         n, width = len(diagram.atoms), 6 if complex_space else 3
@@ -389,8 +477,8 @@ class TestBatch:
             return minimize(fun, x0, args)
 
         monkeypatch.setattr(realizability, "minimize", counted)
-        blocks = search_realization(diagram, 3, seed=0, restarts=10,
-                                    complex_space=complex_space)
+        blocks = numerical(diagram, 3, seed=0, restarts=10,
+                           complex_space=complex_space)
         assert sizes == [rows] * (10 // rows) + [10 % rows] * (10 % rows > 0)
         assert blocks.restart_penalties == whole.restart_penalties
         assert blocks.best_restart == whole.best_restart
@@ -399,6 +487,8 @@ class TestBatch:
             for a in diagram.atoms:
                 assert np.array_equal(blocks.realization.vectors[a],
                                       whole.realization.vectors[a])
+        if saturate_orthogonality(diagram).verdict == "contradiction":
+            assert_proved(diagram, complex_space=complex_space)
 
 
 class TestSoundness:
@@ -409,9 +499,10 @@ class TestSoundness:
         ):
             assert saturate_orthogonality(d).verdict == "contradiction"
             for seed in (0, 1, 2):
-                result = search_realization(d, 3, seed=seed, restarts=6)
+                result = numerical(d, 3, seed=seed, restarts=6)
                 assert not result.success
                 assert result.penalty > 0.01
+                assert_proved(d, seed=seed, restarts=6)
 
     def test_verified_realizations_never_refuted(self):
         for name in ("fig1", "fig2a"):
