@@ -285,8 +285,19 @@ def realize(diagram_file, dim, seed, restarts, complex_space, outfile, as_json):
             a: _complex_rows(v) for a, v in result.realization.vectors.items()
         }
         saved = realizability.save_realization(result.realization)
-        text = (f"realized (penalty {result.penalty!r}, "
-                f"restart {result.best_restart})\n" + saved)
+        if result.integer_witness is None:
+            text = (f"realized (penalty {result.penalty!r}, "
+                    f"restart {result.best_restart})\n" + saved)
+        else:
+            # JSON numbers are floats to most readers: integers of any
+            # length go out as decimal strings
+            payload["certificate"] = "exact"
+            payload["integer_vectors"] = {
+                a: [str(c) for c in v]
+                for a, v in result.integer_witness.items()
+            }
+            text = ("realized exactly (integer witness, no restart run)\n"
+                    + saved)
     else:
         text = ("no witness found "
                 f"(best residual {result.penalty!r} over {restarts} restarts)\n")
@@ -296,7 +307,8 @@ def realize(diagram_file, dim, seed, restarts, complex_space, outfile, as_json):
 
 def _derivation(outcome) -> list:
     return [{"collinear": list(step.collinear),
-             "orthogonal_pair": list(step.orthogonal_pair),
+             ("orthogonal_pair" if step.orthogonal else "distinct_pair"):
+                 list(step.pair),
              "reasons": list(step.reasons)}
             for step in outcome.derivation]
 

@@ -5,25 +5,32 @@ context are orthogonal and distinct atoms stay non-collinear (their overlap
 magnitude must not exceed 1 - DISTINCTNESS_MARGIN; coincident rays would
 merge two atoms the diagram declares distinct).
 
-``search_realization`` decides in two stages:
+``search_realization`` decides in three stages:
 
 * a proof stage of two exact rules.  A context of k atoms needs k mutually
   orthogonal vectors, so a dimension below the diagram's is refuted
   (``OversizedContext``).  In dimension 3, ``saturate_orthogonality`` (the
   pure-Python rule of ``qlctx.saturation``, looked up in this module's
-  globals) pins an atom orthogonal to an orthogonal pair to the one ray
+  globals) pins an atom orthogonal to two distinct atoms to the one ray
   orthogonal to both, so two distinct atoms orthogonal to the same pair
   are forced collinear (``SaturationOutcome``).  Both rules hold in C^d as
   in R^d.  A refutation is returned at once, as the result's
   ``refutation``, and no restart runs.
-* a numerical stage (``_numerical_search``) for every diagram the rules
-  leave open: it minimizes an orthogonality-plus-collinearity penalty over
-  a product of unit spheres from seeded random restarts by L-BFGS descent
-  (``minimize``, numpy only).  All restarts of a block advance together,
-  one stacked penalty evaluation per step, with each restart's result
-  independent of the batch it runs in.  Success is a proof, and only a
-  witness that ``verify_realization`` accepts counts; failure is only
-  evidence and is reported as "no witness found" with the best residual.
+* an exact stage in dimension 3: ``integer_witness`` (also of
+  ``qlctx.saturation``) propagates integer vectors by cross products.  A
+  witness it finds is normalized, must pass ``verify_realization``, and is
+  returned as a real realization with its integer vectors and no restart
+  run; a real witness is a complex one too.  The stage never refutes: when
+  it gives up, the search goes on as if it had not run.
+* a numerical stage (``_numerical_search``) for every diagram the first
+  two leave open: it minimizes an orthogonality-plus-collinearity penalty
+  over a product of unit spheres from seeded random restarts by L-BFGS
+  descent (``minimize``, numpy only).  All restarts of a block advance
+  together, one stacked penalty evaluation per step, with each restart's
+  result independent of the batch it runs in.  Success is a proof, and
+  only a witness that ``verify_realization`` accepts counts; failure is
+  only evidence and is reported as "no witness found" with the best
+  residual.
 """
 
 from __future__ import annotations
@@ -37,7 +44,8 @@ import numpy as np
 
 from . import _text
 from .logic import GreechieDiagram, orthogonal_pairs
-from .saturation import SaturationOutcome, saturate_orthogonality
+from .saturation import (SaturationOutcome, integer_witness,
+                         saturate_orthogonality)
 
 DISTINCTNESS_MARGIN = 0.05
 SUCCESS_PENALTY = 1e-12
@@ -81,7 +89,9 @@ class OversizedContext:
 @dataclass(frozen=True, eq=False)
 class SearchResult:
     """A search's verdict.  A refuted diagram has ``refutation`` set, a
-    penalty of inf, no restart penalties and no best restart."""
+    penalty of inf, no restart penalties and no best restart.  A witness of
+    the exact stage has its integer vectors in ``integer_witness``, a
+    penalty of 0, no restart penalties and no best restart."""
 
     success: bool
     realization: Realization | None
@@ -89,6 +99,7 @@ class SearchResult:
     restart_penalties: tuple[float, ...]
     best_restart: int | None
     refutation: OversizedContext | SaturationOutcome | None = None
+    integer_witness: dict[str, tuple[int, int, int]] | None = None
 
 
 def _apply_j(v: np.ndarray) -> np.ndarray:
@@ -343,8 +354,11 @@ def search_realization(
     The proof stage refutes a ``dim`` below the diagram's dimension
     (``OversizedContext``) and, when both are 3, whatever
     ``saturate_orthogonality`` refutes.  A refuted diagram returns at once
-    with its ``refutation``, a penalty of inf and no restart run.  Every
-    other diagram goes to ``_numerical_search`` with the same arguments.
+    with its ``refutation``, a penalty of inf and no restart run.  When both
+    dimensions are 3, ``_exact_search`` runs next, and a witness it finds is
+    the result, whatever ``seed``, ``restarts`` and ``complex_space`` say.
+    Every other diagram goes to ``_numerical_search`` with the same
+    arguments.
     """
     if dim < 2:
         raise ValueError("realization dimension must be >= 2")
@@ -357,9 +371,32 @@ def search_realization(
         outcome = saturate_orthogonality(diagram)
         if outcome.verdict == "contradiction":
             refutation = outcome
+        elif (exact := _exact_search(diagram, margin)) is not None:
+            return exact
     if refutation is not None:
         return SearchResult(False, None, math.inf, (), None, refutation)
     return _numerical_search(diagram, dim, seed, restarts, complex_space, margin)
+
+
+def _exact_search(diagram, margin):
+    """The integer witness of ``diagram`` in dimension 3 as a search result,
+    or None when ``integer_witness`` gives up or ``verify_realization``
+    rejects its normalized vectors at ``margin``."""
+    witness = integer_witness(diagram, margin)
+    if witness is None:
+        return None
+    vectors = {}
+    for a, v in witness.items():
+        # the largest coordinate divides first, so no int is too large for
+        # a float; each quotient is correctly rounded
+        top = max(abs(c) for c in v)
+        row = np.array([c / top for c in v])
+        vectors[a] = row / np.linalg.norm(row) + 0j
+    realization = Realization(vectors, "real")
+    if not verify_realization(diagram, realization, margin=margin)[0]:
+        return None
+    return SearchResult(True, realization, 0.0, (), None,
+                        integer_witness=witness)
 
 
 def _numerical_search(diagram, dim, seed, restarts, complex_space, margin):

@@ -4,13 +4,15 @@ spin-state layers.
 None of this has a caller in the product: the exhaustive enumeration
 oracle, the frozenset backtracker that the bitmask enumeration replaced,
 the random-diagram generator, the diagram families with closed-form
-state counts, the saturation scan, scipy's L-BFGS-B that the realization
-search replaced, and spin states built from label words.
+state counts, the saturation scan, an exact check of integer witnesses,
+scipy's L-BFGS-B that the realization search replaced, and spin states
+built from label words.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -169,7 +171,8 @@ def from_terms(sites: int, site_dim: int, terms) -> MultipartiteState:
 
 def reference_saturate_orthogonality(diagram: GreechieDiagram):
     """The saturation scan that the neighbour-set intersection replaced:
-    every pair of atoms, in atom order, against every atom."""
+    every pair of atoms, in atom order, against every atom; orthogonal
+    pairs first, then the other pairs."""
     from qlctx.saturation import SaturationOutcome, SaturationStep
 
     provenance: dict[frozenset, int] = {}
@@ -184,21 +187,46 @@ def reference_saturate_orthogonality(diagram: GreechieDiagram):
         ci = provenance[frozenset((x, y))]
         return f"{x} ⊥ {y}  (context {ci + 1}: {' '.join(diagram.contexts[ci])})"
 
-    for u, w in itertools.combinations(diagram.atoms, 2):
-        if w not in neighbours[u]:
-            continue
-        shared = [
-            x for x in diagram.atoms
-            if x not in (u, w) and x in neighbours[u] and x in neighbours[w]
-        ]
-        if len(shared) >= 2:
-            x, y = shared[0], shared[1]
-            reasons = (
-                cite(u, w), cite(x, u), cite(x, w), cite(y, u), cite(y, w),
-            )
-            step = SaturationStep((x, y), (u, w), reasons)
-            return SaturationOutcome("contradiction", (step,))
+    for orthogonal in (True, False):
+        for u, w in itertools.combinations(diagram.atoms, 2):
+            if (w in neighbours[u]) != orthogonal:
+                continue
+            shared = [
+                x for x in diagram.atoms
+                if x not in (u, w) and x in neighbours[u] and x in neighbours[w]
+            ]
+            if len(shared) >= 2:
+                x, y = shared[0], shared[1]
+                reasons = (cite(u, w),) if orthogonal else ()
+                reasons += (cite(x, u), cite(x, w), cite(y, u), cite(y, w))
+                step = SaturationStep((x, y), (u, w), reasons, orthogonal)
+                return SaturationOutcome("contradiction", (step,))
     return SaturationOutcome("no_contradiction")
+
+
+def integer_witness_violations(diagram: GreechieDiagram, witness: dict,
+                               margin: float) -> list:
+    """Every pair of atoms that breaks the realization constraints in exact
+    integer arithmetic: a context pair with a nonzero dot product, or any
+    other pair with (u·v)^2 > (1 - margin)^2 |u|^2 |v|^2, the margin read as
+    the exact value of the float."""
+    bound = (1 - Fraction(margin)) ** 2
+    together = {frozenset(p) for ctx in diagram.contexts
+                for p in itertools.combinations(ctx, 2)}
+    bad = []
+    for x, y in itertools.combinations(diagram.atoms, 2):
+        u, v = witness[x], witness[y]
+        if len(u) != 3 or len(v) != 3 or not any(u) or not any(v):
+            bad.append(("vector", (x, y)))
+            continue
+        dot = sum(a * b for a, b in zip(u, v))
+        if frozenset((x, y)) in together:
+            if dot != 0:
+                bad.append(("orthogonality", (x, y)))
+        elif Fraction(dot * dot) > bound * sum(a * a for a in u) * \
+                sum(b * b for b in v):
+            bad.append(("collinear", (x, y)))
+    return bad
 
 
 def scipy_minimize(fun, x0, args=()):

@@ -113,6 +113,73 @@ class TestRealizabilityCommands:
         assert first.output == second.output  # byte-identical given --seed
         assert '"success": true' in first.output
 
+    def test_realize_fig2a_exact_json(self, monkeypatch):
+        from qlctx import realizability
+
+        monkeypatch.setattr(realizability, "minimize", None)
+        result = run("realize", corpus.data_path("fig2a"), "--dim", "3",
+                     "--json")
+        assert result.exit_code == 0
+        got = json.loads(result.output)
+        assert list(got) == ["success", "penalty", "best_restart",
+                             "restart_penalties", "vectors", "space",
+                             "certificate", "integer_vectors"]
+        assert got["success"] is True and got["penalty"] == 0.0
+        assert got["best_restart"] is None and got["restart_penalties"] == []
+        assert got["space"] == "real" and got["certificate"] == "exact"
+        fig2a = corpus.load("fig2a")
+        assert list(got["integer_vectors"]) == list(fig2a.atoms)
+        for atom, coords in got["integer_vectors"].items():
+            assert all(isinstance(c, str) for c in coords)
+            v = np.array([int(c) for c in coords], dtype=float)
+            floats = np.array([complex(re, im) for re, im in got["vectors"][atom]])
+            assert np.allclose(floats, v / np.linalg.norm(v), rtol=0, atol=1e-15)
+
+    def test_realize_exact_text_and_file(self, monkeypatch, tmp_path):
+        from qlctx import realizability
+
+        monkeypatch.setattr(realizability, "minimize", None)
+        out = tmp_path / "fig2a.real"
+        result = run("realize", corpus.data_path("fig2a"), "--dim", "3",
+                     "--complex", "-o", out)
+        assert result.exit_code == 0
+        first, rest = result.output.split("\n", 1)
+        assert first == "realized exactly (integer witness, no restart run)"
+        assert rest == out.read_text()
+        real = load_realization(out.read_text())
+        assert real.space == "real"
+        assert verify_realization(corpus.load("fig2a"), real)[0]
+
+    def test_realize_json_does_not_depend_on_hash_seed(self):
+        code = ("from qlctx.cli import main\n"
+                f"main(['realize', {str(corpus.data_path('fig2a'))!r}, '--dim', '3',"
+                " '--json'])")
+        outputs = [subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed),
+        ).stdout for hash_seed in ("0", "1")]
+        assert outputs[0] == outputs[1]
+        assert b'"certificate": "exact"' in outputs[0]
+
+    def test_saturate_ring4_refuted(self, tmp_path):
+        # c1 and c3 share the neighbours c0 and c2, which are not orthogonal
+        gd = tmp_path / "ring4.gd"
+        gd.write_text("context c0 m0 c1\ncontext c1 m1 c2\n"
+                      "context c2 m2 c3\ncontext c3 m3 c0\n")
+        result = run("saturate", gd)
+        assert result.exit_code == 1
+        check_golden("saturate_ring4.txt", result.output)
+        result = run("saturate", gd, "--json")
+        assert result.exit_code == 1
+        check_golden("saturate_ring4.json", result.output)
+        assert "orthogonal_pair" not in result.output
+        realized = run("realize", gd, "--dim", "3", "--json")
+        assert realized.exit_code == 1
+        got = json.loads(realized.output)
+        assert got["restart_penalties"] == []
+        assert got["refutation"]["derivation"] == \
+            json.loads(result.output)["derivation"]
+
     def test_realize_fig2b_fails(self):
         result = run("realize", corpus.data_path("fig2b"), "--dim", "3",
                      "--seed", "0", "--restarts", "4")
@@ -606,11 +673,14 @@ class TestLeanImports:
         assert _heavy_modules_after(code) == ["numpy"]
 
     def test_realize_runs_with_scipy_unimportable(self):
-        code = ("import sys\nsys.modules['scipy'] = None\n"
-                "from qlctx.cli import main\n"
-                f"main(['realize', {str(corpus.data_path('fig2a'))!r}, '--dim', '3',"
-                " '--restarts', '2', '--json'])")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["success"] is True
+        # fig2a is decided exactly; fig1 in dimension 4 runs L-BFGS
+        for name, dim in (("fig2a", "3"), ("fig1", "4")):
+            code = ("import sys\nsys.modules['scipy'] = None\n"
+                    "from qlctx.cli import main\n"
+                    f"main(['realize', {str(corpus.data_path(name))!r}, "
+                    f"'--dim', '{dim}', '--restarts', '2', '--json'])")
+            proc = subprocess.run([sys.executable, "-c", code],
+                                  capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONPATH=str(SRC)))
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["success"] is True

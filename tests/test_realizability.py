@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    integer_witness_violations,
     random_diagram,
     reference_saturate_orthogonality,
     scipy_minimize,
@@ -25,6 +26,7 @@ from qlctx.realizability import (
     _numerical_search,
     _value_and_grad,
     born_probabilities,
+    integer_witness,
     load_realization,
     minimize,
     saturate_orthogonality,
@@ -132,6 +134,25 @@ class TestSaturation:
         with pytest.raises(ValueError):
             saturate_orthogonality(make_diagram([("a", "b"), ("b", "c")]))
 
+    def test_two_common_neighbours_that_are_not_orthogonal(self):
+        # c1 and c3 are both orthogonal to c0 and c2, which share no
+        # context: in dimension 3 both lie on the ray orthogonal to c0, c2
+        outcome = saturate_orthogonality(tripod_ring(4))
+        assert outcome.verdict == "contradiction"
+        (step,) = outcome.derivation
+        assert step.collinear == ("c1", "c3")
+        assert step.pair == ("c0", "c2")
+        assert not step.orthogonal and step.orthogonal_pair is None
+        assert len(step.reasons) == 4
+        assert "orthogonal pair" not in outcome.render()
+        assert "the distinct atoms c0, c2" in outcome.render()
+
+    def test_orthogonal_pairs_are_scanned_first(self):
+        # fig2b's ring of three also holds non-orthogonal pairs with two
+        # common neighbours; the derivation still cites an orthogonal pair
+        (step,) = saturate_orthogonality(corpus.load("fig2b")).derivation
+        assert step.orthogonal
+
     def test_matches_pair_scan_on_random_diagrams(self):
         rng = np.random.default_rng(0)
         verdicts = set()
@@ -145,9 +166,9 @@ class TestSaturation:
     @pytest.mark.parametrize("diagram", [
         tadpole(150), tripod_chain(150), corpus.load("fig1"),
         corpus.load("fig2a"), corpus.load("fig2b"), corpus.load("fig3"),
-        tripod_ring(3),
+        tripod_ring(3), tripod_ring(4),
     ], ids=["tadpole150", "chain150", "fig1", "fig2a", "fig2b", "fig3",
-            "triangle"])
+            "triangle", "ring4"])
     def test_matches_pair_scan(self, diagram):
         assert saturate_orthogonality(diagram) == \
             reference_saturate_orthogonality(diagram)
@@ -184,9 +205,8 @@ class TestSearch:
         assert_proved(corpus.load("fig2b"), seed=1, restarts=4)
 
     def test_complex_flag(self):
-        result = search_realization(
-            corpus.load("fig1"), 3, seed=0, restarts=3, complex_space=True
-        )
+        result = numerical(corpus.load("fig1"), 3, seed=0, restarts=3,
+                           complex_space=True)
         assert result.success
         assert result.realization.space == "complex"
         ok, _ = verify_realization(corpus.load("fig1"), result.realization)
@@ -202,10 +222,12 @@ class TestSearch:
         ("fig1", 3), ("fig1", 5), ("fig2a", 2), ("fig2a", 4), ("fig2a", 5),
     ])
     def test_seed_0_searches_succeed(self, name, restarts):
+        # the exact stage decides these; the numerical stage must too
         d = corpus.load(name)
-        result = search_realization(d, 3, seed=0, restarts=restarts)
-        assert result.success
-        assert verify_realization(d, result.realization)[0]
+        for result in (search_realization(d, 3, seed=0, restarts=restarts),
+                       numerical(d, 3, seed=0, restarts=restarts)):
+            assert result.success
+            assert verify_realization(d, result.realization)[0]
 
     @pytest.mark.parametrize(
         "diagram, complex_space, seed",
@@ -226,9 +248,10 @@ class TestSearch:
             return result
 
         monkeypatch.setattr(realizability, "minimize", recorded)
-        result = search_realization(diagram, 3, seed=seed, restarts=10,
-                                    complex_space=complex_space)
+        result = numerical(diagram, 3, seed=seed, restarts=10,
+                           complex_space=complex_space)
         assert result.success
+        assert ends
         index = {a: i for i, a in enumerate(diagram.atoms)}
         pairs = [(index[x], index[y]) for ctx in diagram.contexts
                  for x, y in itertools.combinations(ctx, 2)]
@@ -250,7 +273,7 @@ class TestSearch:
             return False, [("orthogonality", ("A", "B"), 1.0)]
 
         monkeypatch.setattr(realizability, "verify_realization", rejecting)
-        result = search_realization(corpus.load("fig1"), 3, seed=0, restarts=5)
+        result = numerical(corpus.load("fig1"), 3, seed=0, restarts=5)
         assert calls == [realizability.DISTINCTNESS_MARGIN]
         assert not result.success
         assert result.realization is None
@@ -280,7 +303,7 @@ class TestSearch:
 
 class TestProofStage:
     def test_random_diagrams_refuted_exactly_or_searched(self, monkeypatch):
-        verdicts = set()
+        verdicts, stages = set(), set()
         for seed in range(100):
             d = random_diagram(np.random.default_rng(seed))
             reference = reference_saturate_orthogonality(d)
@@ -295,9 +318,21 @@ class TestProofStage:
             else:
                 result = search_realization(d, 3, seed=seed, restarts=1)
                 assert result.refutation is None
-                assert result.restart_penalties == \
-                    numerical(d, 3, seed=seed, restarts=1).restart_penalties
+                exact = result.integer_witness is not None
+                stages.add(exact)
+                if exact:
+                    # the exact stage decided: its witness holds in integers
+                    assert integer_witness_violations(
+                        d, result.integer_witness, DISTINCTNESS_MARGIN) == []
+                    assert result.restart_penalties == ()
+                else:
+                    assert result.restart_penalties == numerical(
+                        d, 3, seed=seed, restarts=1).restart_penalties
         assert verdicts == {"contradiction", "no_contradiction"}
+        # on these seeds the exact stage decides every diagram saturation
+        # leaves open; test_undecided_diagrams_are_searched as before
+        # covers the other branch
+        assert True in stages
 
     @pytest.mark.parametrize("complex_space", [False, True])
     def test_context_larger_than_the_dimension(self, monkeypatch,
@@ -334,6 +369,117 @@ class TestProofStage:
         result = search_realization(corpus.load("fig2b"), 4, seed=0, restarts=2)
         assert result.refutation is None
         assert len(result.restart_penalties) == 2
+
+
+def exact_or_fail(*args, **kwargs):
+    raise AssertionError("the exact stage decides this diagram")
+
+
+# the seed plays no part in the exact stage: each grid shape once
+EXACT_CASES = ([(make(n), c) for make, n, c, seed in WITNESS_GRID if seed == 0]
+               + [(corpus.load(name), c) for name in ("fig1", "fig2a")
+                  for c in (False, True)])
+EXACT_IDS = ([i[:-2] for i in GRID_IDS if i.endswith("-0")]
+             + [f"{name}-{'complex' if c else 'real'}"
+                for name in ("fig1", "fig2a") for c in (False, True)])
+
+
+class TestExactStage:
+    @pytest.mark.parametrize("diagram, complex_space", EXACT_CASES,
+                             ids=EXACT_IDS)
+    def test_decides_without_a_restart(self, monkeypatch, diagram,
+                                       complex_space):
+        monkeypatch.setattr(realizability, "minimize", exact_or_fail)
+        result = search_realization(diagram, 3, seed=0, restarts=10,
+                                    complex_space=complex_space)
+        assert result.success and result.refutation is None
+        assert result.penalty == 0.0
+        assert result.restart_penalties == ()
+        assert result.best_restart is None
+        # a real witness is a complex one too
+        assert result.realization.space == "real"
+        witness = result.integer_witness
+        assert list(witness) == list(diagram.atoms)
+        assert all(type(c) is int for v in witness.values() for c in v)
+        assert integer_witness_violations(diagram, witness,
+                                          DISTINCTNESS_MARGIN) == []
+        ok, violations = verify_realization(diagram, result.realization)
+        assert ok, violations
+        for a, v in witness.items():
+            unit = np.array(v, dtype=float) / math.sqrt(sum(c * c for c in v))
+            assert np.allclose(result.realization.vectors[a], unit,
+                               rtol=0, atol=1e-15)
+
+    def test_witness_does_not_depend_on_seed_or_restarts(self):
+        d = tripod_ring(6)
+        results = [search_realization(d, 3, seed=seed, restarts=restarts)
+                   for seed, restarts in ((0, 1), (5, 1), (0, 20))]
+        assert results[0].integer_witness == results[1].integer_witness \
+            == results[2].integer_witness
+        assert integer_witness(d, DISTINCTNESS_MARGIN) == \
+            results[0].integer_witness
+
+    def test_witness_the_verifier_rejects_falls_through(self, monkeypatch):
+        calls = []
+
+        def rejecting(diagram, realization, tol=1e-9, margin=None):
+            calls.append(margin)
+            return False, [("orthogonality", ("A", "B"), 1.0)]
+
+        monkeypatch.setattr(realizability, "verify_realization", rejecting)
+        result = search_realization(corpus.load("fig1"), 3, seed=0, restarts=5)
+        # once for the exact witness, once for the best restart
+        assert calls == [DISTINCTNESS_MARGIN] * 2
+        assert not result.success and result.integer_witness is None
+        assert result.restart_penalties == numerical(
+            corpus.load("fig1"), 3, seed=0, restarts=5).restart_penalties
+
+    @pytest.mark.parametrize("diagram", [
+        corpus.load("fig3"), tripod_ring(7), tripod_chain(12), tripod_ring(10),
+    ], ids=["fig3", "ring7", "chain12", "ring10"])
+    def test_undecided_diagrams_are_searched_as_before(self, diagram):
+        assert integer_witness(diagram, DISTINCTNESS_MARGIN) is None
+        for complex_space in (False, True):
+            result = search_realization(diagram, 3, seed=1, restarts=2,
+                                        complex_space=complex_space)
+            alone = numerical(diagram, 3, seed=1, restarts=2,
+                              complex_space=complex_space)
+            assert result.integer_witness is None
+            assert result.restart_penalties == alone.restart_penalties
+            assert result.best_restart == alone.best_restart
+            assert result.success == alone.success
+
+    def test_long_chain_gives_up_and_falls_through(self, monkeypatch):
+        chain = tripod_chain(150)
+        assert integer_witness(chain, DISTINCTNESS_MARGIN) is None
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return "searched"
+
+        monkeypatch.setattr(realizability, "_numerical_search", recorded)
+        assert search_realization(chain, 3, seed=2, restarts=3) == "searched"
+        assert calls == [(chain, 3, 2, 3, False, DISTINCTNESS_MARGIN)]
+
+    def test_other_dimensions_are_not_propagated(self, monkeypatch):
+        monkeypatch.setattr(realizability, "integer_witness", exact_or_fail)
+        result = search_realization(corpus.load("fig1"), 4, seed=0,
+                                    restarts=2)
+        assert result.integer_witness is None
+        assert len(result.restart_penalties) == 2
+        with pytest.raises(ValueError, match="dimension 3"):
+            integer_witness(make_diagram([("a", "b"), ("b", "c")]), 0.05)
+
+    def test_a_tighter_margin_is_checked_exactly(self):
+        # the propagation reads the margin exactly; whatever it places must
+        # pass the integer oracle at that margin
+        d = tripod_chain(4)
+        for margin in (0.05, 0.3, 0.5):
+            witness = integer_witness(d, margin)
+            if witness is not None:
+                assert integer_witness_violations(d, witness, margin) == []
+        assert integer_witness(d, 0.99) is None
 
 
 class TestMinimize:
@@ -406,7 +552,8 @@ class TestMinimize:
         for cells, calls in ((realizability.BATCH_CELLS, 1), (1, 3)):
             counts.clear()
             monkeypatch.setattr(realizability, "BATCH_CELLS", cells)
-            search_realization(corpus.load("fig1"), 3, seed=0, restarts=3)
+            # dimension 4: the exact stage would decide fig1 in dimension 3
+            search_realization(corpus.load("fig1"), 4, seed=0, restarts=3)
             assert len(counts) == calls
             for nit, nfev in counts:
                 assert type(nit) is int and type(nfev) is int
@@ -418,8 +565,8 @@ def witness_count(monkeypatch, minimizer, restarts=10):
     monkeypatch.setattr(realizability, "minimize", minimizer)
     found = 0
     for make, n, complex_space, seed in WITNESS_GRID:
-        result = search_realization(make(n), 3, seed=seed, restarts=restarts,
-                                    complex_space=complex_space)
+        result = numerical(make(n), 3, seed=seed, restarts=restarts,
+                           complex_space=complex_space)
         found += sum(p < SUCCESS_PENALTY for p in result.restart_penalties)
     return found
 
@@ -430,6 +577,7 @@ class TestAgainstScipy:
         ours = witness_count(monkeypatch, minimize, restarts)
         theirs = witness_count(monkeypatch, scipy_minimize, restarts)
         run = len(WITNESS_GRID) * restarts
+        assert theirs > 0
         assert ours >= theirs - 0.05 * run, (ours, theirs, run)
 
 
@@ -446,10 +594,10 @@ class TestBatch:
             return result
 
         monkeypatch.setattr(realizability, "minimize", recorded)
-        one, four, ten = (search_realization(make(n), 3, seed=seed,
-                                             restarts=restarts,
-                                             complex_space=complex_space)
+        one, four, ten = (numerical(make(n), 3, seed=seed, restarts=restarts,
+                                    complex_space=complex_space)
                           for restarts in (1, 4, 10))
+        assert len(ends) == 3  # one block per search
         assert four.restart_penalties == ten.restart_penalties[:4]
         assert one.restart_penalties == ten.restart_penalties[:1]
         # restart 0's end point, from the first block of each search
@@ -614,9 +762,9 @@ class TestSerialization:
             assert np.allclose(again.vectors[atom], v)
 
     def test_complex_round_trip(self):
-        result = search_realization(
-            corpus.load("fig1"), 3, seed=3, restarts=2, complex_space=True
-        )
+        result = numerical(corpus.load("fig1"), 3, seed=3, restarts=2,
+                           complex_space=True)
+        assert result.realization.space == "complex"
         text = save_realization(result.realization)
         again = load_realization(text)
         for atom, v in result.realization.vectors.items():
