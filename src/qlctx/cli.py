@@ -10,7 +10,9 @@ text and sets the exit code.
 
 Only ``logic`` and ``_text`` (pure Python) are imported here; numpy and the
 other engine modules are imported inside the commands that use them, so a
-command pays start-up only for what it runs.
+command pays start-up only for what it runs.  ``realize`` loads numpy only
+when its search reaches the numerical stage: a diagram refuted by a proof
+or realized by an integer witness runs in pure Python.
 """
 
 from __future__ import annotations
@@ -282,7 +284,8 @@ def realize(diagram_file, dim, seed, restarts, complex_space, outfile, as_json):
     if result.success:
         payload["space"] = result.realization.space
         payload["vectors"] = {
-            a: _complex_rows(v) for a, v in result.realization.vectors.items()
+            a: [[z.real, z.imag] for z in v]
+            for a, v in result.realization.vectors.items()
         }
         saved = realizability.save_realization(result.realization)
         if result.integer_witness is None:

@@ -153,6 +153,14 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
+def check_margin(margin) -> None:
+    """ValueError unless ``margin`` lies in the open interval (0, 1); nan
+    and the infinities do not."""
+    if not 0 < margin < 1:
+        raise ValueError("margin must lie in the open interval (0, 1), "
+                         f"got {margin!r}")
+
+
 def integer_witness(
     diagram: GreechieDiagram, margin: float
 ) -> dict[str, tuple[int, int, int]] | None:
@@ -171,9 +179,11 @@ def integer_witness(
     value of the float, which also rules out parallel vectors.  When a
     vector fails, the choice is undone with all the atoms it forced and the
     next g is tried; a choice that fails on CANDIDATES vectors gives up.
+    ``margin`` must lie in the open interval (0, 1).
     """
     if diagram.dim != 3:
         raise ValueError("the integer propagation is specific to dimension 3")
+    check_margin(margin)
     atoms = diagram.atoms
     n = len(atoms)
     adjacent = _neighbours(diagram, orthogonal_pairs(diagram))

@@ -236,16 +236,16 @@ def scipy_minimize(fun, x0, args=()):
     the batched ``fun`` on its own point."""
     from scipy.optimize import minimize
 
-    from qlctx import realizability as rz
+    from qlctx import _numerical as lbfgs
 
     def one(x, *args):
         f, g = fun(x[None], *args)
         return f[0], g[0]
 
     ends = [minimize(one, x, args=args, jac=True, method="L-BFGS-B",
-                     options={"maxiter": rz.MAXITER, "maxfun": rz.MAXFUN,
-                              "ftol": rz.FTOL, "gtol": rz.GTOL})
+                     options={"maxiter": lbfgs.MAXITER, "maxfun": lbfgs.MAXFUN,
+                              "ftol": lbfgs.FTOL, "gtol": lbfgs.GTOL})
             for x in x0]
-    return rz.Minimum(np.array([e.x for e in ends]),
-                      np.array([e.fun for e in ends]),
-                      sum(e.nit for e in ends), sum(e.nfev for e in ends))
+    return lbfgs.Minimum(np.array([e.x for e in ends]),
+                         np.array([e.fun for e in ends]),
+                         sum(e.nit for e in ends), sum(e.nfev for e in ends))

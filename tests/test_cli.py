@@ -636,13 +636,18 @@ class TestExitContract:
             json.loads(as_json.stdout)
 
 
+def _python(code):
+    """``code`` run in a new interpreter that finds the package."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+
 def _heavy_modules_after(code):
     """numpy and scipy, if loaded by running ``code`` in a new interpreter."""
     probe = (code + "\nimport sys\nprint(' '.join(m for m in ('numpy', 'scipy')"
              " if m in sys.modules), file=sys.stderr)")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, check=True,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    proc = _python(probe)
+    proc.check_returncode()
     return proc.stderr.split()
 
 
@@ -670,7 +675,53 @@ class TestLeanImports:
         code = ("from qlctx.cli import main\n"
                 f"main(['realize', {str(corpus.data_path('fig2a'))!r}, '--dim', '3',"
                 " '--restarts', '2', '--json'], standalone_mode=False)")
-        assert _heavy_modules_after(code) == ["numpy"]
+        assert _heavy_modules_after(code) == []
+
+    def test_realizability_import_leaves_out_numpy(self):
+        assert _heavy_modules_after("import qlctx.realizability") == []
+
+    def test_numerical_stage_loads_numpy_and_finds_a_witness(self):
+        # fig1 in dimension 4 is neither refuted nor propagated: L-BFGS runs
+        code = ("from qlctx.cli import main\n"
+                f"main(['realize', {str(corpus.data_path('fig1'))!r}, '--dim', '4',"
+                " '--restarts', '2', '--json'], standalone_mode=False)")
+        proc = _python(code + "\nimport sys\nprint('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        payload, loaded = proc.stdout.rsplit("\n", 2)[:2]
+        assert loaded == "True"
+        assert json.loads(payload)["success"] is True
+
+    def test_realize_runs_with_numpy_unimportable(self, tmp_path):
+        # the proof and exact stages, the -o file and its check are pure
+        # Python
+        block = "import sys\nsys.modules['numpy'] = None\n"
+
+        def realize(name, dim, *extra):
+            return _python(block + "from qlctx.cli import main\n"
+                           f"main(['realize', {str(corpus.data_path(name))!r}, "
+                           f"'--dim', '{dim}', *{list(extra)!r}])")
+
+        proc = realize("fig2a", 3, "--json")
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["success"] is True and got["certificate"] == "exact"
+        out = tmp_path / "fig2a.real"
+        proc = realize("fig2a", 3, "-o", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("realized exactly")
+        check = _python(
+            block + "from pathlib import Path\nfrom qlctx import corpus\n"
+            "from qlctx.realizability import load_realization, "
+            "verify_realization\n"
+            f"real = load_realization(Path({str(out)!r}).read_text())\n"
+            "print(verify_realization(corpus.load('fig2a'), real)[0])")
+        assert check.returncode == 0, check.stderr
+        assert check.stdout == "True\n"
+        for name, dim, proof in (("fig2b", 3, "refuted: two distinct atoms"),
+                                 ("fig1", 2, "refuted: dimension 2")):
+            proc = realize(name, dim)
+            assert proc.returncode == 1, proc.stderr
+            assert proof in proc.stdout
 
     def test_realize_runs_with_scipy_unimportable(self):
         # fig2a is decided exactly; fig1 in dimension 4 runs L-BFGS
@@ -679,8 +730,6 @@ class TestLeanImports:
                     "from qlctx.cli import main\n"
                     f"main(['realize', {str(corpus.data_path(name))!r}, "
                     f"'--dim', '{dim}', '--restarts', '2', '--json'])")
-            proc = subprocess.run([sys.executable, "-c", code],
-                                  capture_output=True, text=True,
-                                  env=dict(os.environ, PYTHONPATH=str(SRC)))
+            proc = _python(code)
             assert proc.returncode == 0, proc.stderr
             assert json.loads(proc.stdout)["success"] is True

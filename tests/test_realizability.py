@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,18 +14,20 @@ from oracles import (
     tripod_ring,
 )
 from qlctx import corpus, realizability
-from qlctx.logic import make_diagram
-from qlctx.realizability import (
-    DISTINCTNESS_MARGIN,
+from qlctx._numerical import (
     LINE_SEARCH_EVALS,
     MAXFUN,
     MAXITER,
     MEMORY,
+    value_and_grad,
+)
+from qlctx.logic import make_diagram
+from qlctx.realizability import (
+    DISTINCTNESS_MARGIN,
     OversizedContext,
     Realization,
     SUCCESS_PENALTY,
     _numerical_search,
-    _value_and_grad,
     born_probabilities,
     integer_witness,
     load_realization,
@@ -289,14 +292,14 @@ class TestSearch:
             width = 6 if complex_space else 3
             args = (n, width, orth, offdiag, 0.95**2, complex_space)
             x = rng.standard_normal(n * width)
-            _, grad = _value_and_grad(x[None], *args)
+            _, grad = value_and_grad(x[None], *args)
             eps = 1e-6
             ks = rng.choice(x.size, size=8, replace=False)
             # one stacked call evaluates every shifted point
             shifted = np.repeat(x[None], 2 * len(ks), axis=0)
             shifted[np.arange(len(ks)), ks] += eps
             shifted[len(ks) + np.arange(len(ks)), ks] -= eps
-            f, _ = _value_and_grad(shifted, *args)
+            f, _ = value_and_grad(shifted, *args)
             fd = (f[:len(ks)] - f[len(ks):]) / (2 * eps)
             assert np.all(np.abs(fd - grad[0, ks]) < 1e-5)
 
@@ -409,6 +412,39 @@ class TestExactStage:
             unit = np.array(v, dtype=float) / math.sqrt(sum(c * c for c in v))
             assert np.allclose(result.realization.vectors[a], unit,
                                rtol=0, atol=1e-15)
+
+    def test_witness_is_verified_in_integers(self, monkeypatch):
+        seen = []
+
+        def recorded(diagram, realization, tol=1e-9, margin=None):
+            seen.append(realization.vectors)
+            return verify_realization(diagram, realization, tol, margin)
+
+        monkeypatch.setattr(realizability, "verify_realization", recorded)
+        result = search_realization(corpus.load("fig2a"), 3)
+        assert seen == [result.integer_witness]
+
+    @pytest.mark.parametrize("diagram", [
+        make(n) for make, n, c, seed in WITNESS_GRID if seed == 0 and not c
+    ] + [corpus.load("fig1"), corpus.load("fig2a")], ids=[
+        i[:-7] for i in GRID_IDS if i.endswith("-real-0")] + ["fig1", "fig2a"])
+    def test_unit_floats_are_within_1_ulp(self, diagram):
+        # |x - c/|v|| <= ulp(x) holds exactly when x has the sign of c and
+        # (|x| - ulp)^2 |v|^2 <= c^2 <= (|x| + ulp)^2 |v|^2
+        result = search_realization(diagram, 3)
+        for atom, v in result.integer_witness.items():
+            norm2 = sum(c * c for c in v)
+            floats = result.realization.vectors[atom]
+            assert type(floats) is tuple and len(floats) == 3
+            for c, z in zip(v, floats):
+                assert type(z) is complex and z.imag == 0.0
+                x, ulp = Fraction(abs(z.real)), Fraction(math.ulp(z.real))
+                if c == 0:
+                    assert x == 0
+                    continue
+                assert (z.real > 0) == (c > 0)
+                assert max(x - ulp, 0) ** 2 * norm2 <= c * c
+                assert c * c <= (x + ulp) ** 2 * norm2
 
     def test_witness_does_not_depend_on_seed_or_restarts(self):
         d = tripod_ring(6)
@@ -524,8 +560,8 @@ class TestMinimize:
         orth = orthogonality_mask(d)
         args = (n, 3, orth, ~np.eye(n, dtype=bool), 0.95**2, False)
         starts = np.random.default_rng(9).standard_normal((5, 3 * n))
-        batch = minimize(_value_and_grad, starts, args=args)
-        alone = [minimize(_value_and_grad, row[None], args=args)
+        batch = minimize(value_and_grad, starts, args=args)
+        alone = [minimize(value_and_grad, row[None], args=args)
                  for row in starts]
         assert len({m.nfev for m in alone}) > 1
         for k, one in enumerate(alone):
@@ -709,6 +745,77 @@ class TestVerify:
             verify_realization(corpus.load("fig1"), real)
 
 
+class TestVerifyIntegers:
+    def test_agrees_with_the_integer_oracle(self):
+        # the exact witnesses, and copies with one coordinate changed
+        rng = np.random.default_rng(3)
+        verdicts = set()
+        for diagram, _ in EXACT_CASES:
+            witness = integer_witness(diagram, DISTINCTNESS_MARGIN)
+            for trial in range(6):
+                vectors = dict(witness)
+                if trial:
+                    atom = diagram.atoms[rng.integers(len(diagram.atoms))]
+                    v = list(vectors[atom])
+                    v[rng.integers(3)] += int(rng.integers(-2, 3))
+                    vectors[atom] = tuple(v)
+                ok, violations = verify_realization(diagram,
+                                                    Realization(vectors))
+                expected = integer_witness_violations(diagram, vectors,
+                                                      DISTINCTNESS_MARGIN)
+                assert ok == (expected == [])
+                assert {(k, frozenset(a)) for k, a, _ in violations} == \
+                    {(k, frozenset(a)) for k, a in expected}
+                verdicts.add(ok)
+        assert verdicts == {True, False}
+
+    def test_the_margin_is_read_exactly(self):
+        # every ray of one context overlaps each of the other by exactly 1/2
+        d = make_diagram([("x", "y"), ("z", "w")])
+        rays = Realization({"x": (1, 1, 0), "y": (1, -1, 0),
+                            "z": (1, 0, 1), "w": (1, 0, -1)})
+        assert verify_realization(d, rays, margin=0.5)[0]
+        ok, violations = verify_realization(d, rays,
+                                            margin=math.nextafter(0.5, 1))
+        assert not ok
+        assert violations == [("collinear", pair, 0.5) for pair in
+                              (("x", "z"), ("x", "w"), ("y", "z"), ("y", "w"))]
+
+    def test_zero_vector_and_nonzero_dot_product(self):
+        d = make_diagram([("x", "y", "z")])
+        ok, violations = verify_realization(
+            d, Realization({"x": (0, 0, 0), "y": [1, 1, 0], "z": (0, 0, 1)}))
+        assert violations == [("norm", ("x",), 1.0)]
+        ok, violations = verify_realization(
+            d, Realization({"x": (1, 0, 0), "y": (1, 1, 0), "z": (0, 0, 1)}))
+        assert violations == [("orthogonality", ("x", "y"), math.sqrt(0.5))]
+
+    def test_vectors_not_all_ints_are_floats(self):
+        # one float coordinate, or a numpy array, sends every vector to the
+        # float check, where (1, 1, 0) is not a unit vector
+        d = make_diagram([("x", "y", "z")])
+        for y in ((1.0, 1, 0), np.array([1, 1, 0])):
+            ok, violations = verify_realization(
+                d, Realization({"x": (1, -1, 0), "y": y, "z": (0, 0, 1)}))
+            assert ("norm", ("x",), pytest.approx(math.sqrt(2) - 1)) in violations
+
+
+@pytest.mark.parametrize("margin", [-0.5, 0.0, 1.0, 1.5, math.nan, math.inf])
+def test_a_margin_outside_0_to_1_is_refused(monkeypatch, margin):
+    monkeypatch.setattr(realizability, "minimize", no_search)
+    fig2a = corpus.load("fig2a")
+    witness = integer_witness(fig2a, DISTINCTNESS_MARGIN)
+    for dim in (3, 4):
+        with pytest.raises(ValueError, match="margin"):
+            search_realization(fig2a, dim, margin=margin)
+    for vectors in (witness, {a: tuple(map(complex, v))
+                              for a, v in witness.items()}):
+        with pytest.raises(ValueError, match="margin"):
+            verify_realization(fig2a, Realization(vectors), margin=margin)
+    with pytest.raises(ValueError, match="margin"):
+        integer_witness(fig2a, margin)
+
+
 class TestBorn:
     def test_state_on_shared_leg(self):
         probs = born_probabilities(fig1_vectors(np.pi / 7), [0, 0, 1])
@@ -769,6 +876,23 @@ class TestSerialization:
         again = load_realization(text)
         for atom, v in result.realization.vectors.items():
             assert np.allclose(again.vectors[atom], v)
+
+    def test_an_atom_given_twice_is_refused(self):
+        with pytest.raises(ValueError, match="line 2: atom 'A' is already "
+                                             "given on line 1"):
+            load_realization("A 1 0 0 0 0 0\nA 0 0 1 0 0 0\n")
+
+    def test_realizations_hold_tuples_of_complex(self):
+        fig1 = corpus.load("fig1")
+        built = [search_realization(fig1, 3).realization,
+                 numerical(fig1, 3, restarts=3).realization,
+                 numerical(fig1, 3, restarts=3, complex_space=True).realization]
+        built.append(load_realization(save_realization(built[-1])))
+        for real in built:
+            assert list(real.vectors) == list(fig1.atoms)
+            for v in real.vectors.values():
+                assert type(v) is tuple and len(v) == 3
+                assert all(type(z) is complex for z in v)
 
     def test_malformed_lines(self):
         with pytest.raises(ValueError, match="line 1"):
