@@ -5,10 +5,10 @@ grouped into contexts (maximal sets of co-measurable observables); atoms
 shared by two or more contexts are link observables.  A two-valued state
 assigns 0/1 to every atom with exactly one 1 per context.  The public
 functions represent it as the frozenset of atoms assigned 1.  Inside this
-module a state is an int mask with one bit per atom, atom 0 the most
+module a state is one int mask, one bit per atom, atom 0 the most
 significant, so ascending ints are the assignment vectors in lexicographic
-atom order: enumeration, classification and the hull's vertex rows work on
-the masks, and frozensets are built only for what is returned.
+atom order.  Enumeration, classification and the hull's vertex rows hold
+only masks; ``_states_of`` decodes frozensets for what is returned.
 
 .gd file format, one directive per line ('#' starts a comment):
 
@@ -23,6 +23,7 @@ contexts denotes the same observable.  All contexts must have the same size
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -62,7 +63,7 @@ def make_diagram(contexts, name=None, atoms=None, _lines=None) -> GreechieDiagra
     dim = len(contexts[0])
     if dim < 2:
         raise ParseError("contexts need at least two atoms", lines[0])
-    seen_sets: dict[frozenset, int] = {}
+    seen_sets: set[frozenset] = set()
     for ctx, line in zip(contexts, lines):
         if len(ctx) != dim:
             raise ParseError(
@@ -75,12 +76,8 @@ def make_diagram(contexts, name=None, atoms=None, _lines=None) -> GreechieDiagra
             raise ParseError(
                 f"context {ctx} duplicates an earlier context", line
             )
-        seen_sets[key] = 1
-    used: list[str] = []
-    for ctx in contexts:
-        for atom in ctx:
-            if atom not in used:
-                used.append(atom)
+        seen_sets.add(key)
+    used = dict.fromkeys(atom for ctx in contexts for atom in ctx)
     if atoms is not None:
         atoms = list(atoms)
         declared = set(atoms)
@@ -90,7 +87,7 @@ def make_diagram(contexts, name=None, atoms=None, _lines=None) -> GreechieDiagra
             for atom in ctx:
                 if atom not in declared:
                     raise ParseError(f"unknown atom {atom!r} in context", line)
-        unused = [a for a in atoms if a not in set(used)]
+        unused = [a for a in atoms if a not in used]
         if unused:
             raise ParseError(f"declared atoms {unused} appear in no context")
         order = tuple(atoms)
@@ -123,10 +120,7 @@ def parse_diagram(text: str) -> GreechieDiagram:
 
 def link_atoms(diagram: GreechieDiagram) -> tuple[str, ...]:
     """Atoms belonging to two or more contexts, in atom order."""
-    counts = {a: 0 for a in diagram.atoms}
-    for ctx in diagram.contexts:
-        for atom in ctx:
-            counts[atom] += 1
+    counts = collections.Counter(a for ctx in diagram.contexts for a in ctx)
     return tuple(a for a in diagram.atoms if counts[a] >= 2)
 
 
@@ -151,8 +145,8 @@ def _atom_bits(diagram: GreechieDiagram) -> list[int]:
     return [1 << (n - 1 - i) for i in range(n)]
 
 
-def _enumerate(diagram: GreechieDiagram) -> list[tuple[int, tuple[str, ...]]]:
-    """Every two-valued state as (mask, atoms assigned 1), by ascending mask.
+def _enumerate(diagram: GreechieDiagram) -> list[int]:
+    """The mask of every two-valued state, ascending.
 
     A mask holds one bit per atom, atom 0 the most significant, so ascending
     masks are the assignment vectors in lexicographic atom order.  Backtracks
@@ -165,14 +159,13 @@ def _enumerate(diagram: GreechieDiagram) -> list[tuple[int, tuple[str, ...]]]:
     contexts = []
     for ctx in diagram.contexts:
         mask = sum(bits[a] for a in ctx)
-        contexts.append((mask, [(bits[a], mask ^ bits[a], a) for a in ctx]))
+        contexts.append((mask, [(bits[a], mask ^ bits[a]) for a in ctx]))
     last = len(contexts)
-    found: list[tuple[int, tuple[str, ...]]] = []
-    chosen: list[str] = []
+    found: list[int] = []
 
     def backtrack(ci: int, ones: int, zeros: int):
         if ci == last:
-            found.append((ones, tuple(chosen)))
+            found.append(ones)
             return
         mask, choices = contexts[ci]
         held = ones & mask
@@ -180,11 +173,9 @@ def _enumerate(diagram: GreechieDiagram) -> list[tuple[int, tuple[str, ...]]]:
             if not held & (held - 1):  # one 1 already: the rest become 0
                 backtrack(ci + 1, ones, zeros | (mask ^ held))
             return
-        for bit, rest, atom in choices:
+        for bit, rest in choices:
             if not zeros & bit:
-                chosen.append(atom)
                 backtrack(ci + 1, ones | bit, zeros | rest)
-                chosen.pop()
 
     try:
         backtrack(0, 0, 0)
@@ -202,13 +193,22 @@ def _enumerate(diagram: GreechieDiagram) -> list[tuple[int, tuple[str, ...]]]:
     return found
 
 
+def _states_of(diagram: GreechieDiagram, masks) -> list[TwoValuedState]:
+    """The atoms set to 1 in each mask, atom 0 the most significant bit."""
+    atoms, width = diagram.atoms, f"0{len(diagram.atoms)}b"
+    selectors = bytes.maketrans(b"01", b"\0\1")  # binary digits to 0/1
+    return [frozenset(itertools.compress(
+        atoms, format(mask, width).encode().translate(selectors)))
+        for mask in masks]
+
+
 def two_valued_states(diagram: GreechieDiagram) -> list[TwoValuedState]:
     """All 0/1 assignments with exactly one 1 per context.
 
     The result is sorted lexicographically by assignment vector in atom
     order, so the enumeration is deterministic and duplicate-free.
     """
-    return [frozenset(chosen) for _, chosen in _enumerate(diagram)]
+    return _states_of(diagram, _enumerate(diagram))
 
 
 def nonseparating_pairs(diagram: GreechieDiagram) -> list[tuple[str, str]]:
@@ -217,7 +217,7 @@ def nonseparating_pairs(diagram: GreechieDiagram) -> list[tuple[str, str]]:
     Empty when no two-valued states exist (nonexistence is reported
     separately by classify).
     """
-    return _pairs_in(diagram, [mask for mask, _ in _enumerate(diagram)])
+    return _pairs_in(diagram, _enumerate(diagram))
 
 
 def _pairs_in(diagram: GreechieDiagram, masks) -> list[tuple[str, str]]:
@@ -269,7 +269,7 @@ class StateSetClassification:
 
 
 def classify(diagram: GreechieDiagram) -> StateSetClassification:
-    masks = [mask for mask, _ in _enumerate(diagram)]
+    masks = _enumerate(diagram)
     count = len(masks)
     if not masks:
         return StateSetClassification("nonexistent")
@@ -314,14 +314,10 @@ class HullMembership:
 
 
 def _to_fraction(x) -> Fraction:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError(f"{x!r} is not a finite number")
-        return Fraction(x)  # exact binary value of the float
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"{x!r} is not a finite number")
+    if isinstance(x, (int, Fraction, float, str)):
+        return Fraction(x)  # a float enters with its exact binary value
     raise TypeError(f"cannot interpret {x!r} as a probability")
 
 
@@ -336,8 +332,8 @@ def hull_membership(diagram: GreechieDiagram, p, tol="1e-9") -> HullMembership:
     same types; a decimal string such as the default '1e-9' is read
     exactly, where a float enters with its binary value.
     """
-    found = _enumerate(diagram)
-    if not found:
+    masks = _enumerate(diagram)
+    if not masks:
         raise ValueError("no classical states: the diagram admits no "
                          "two-valued states")
     for atom in p:
@@ -351,11 +347,11 @@ def hull_membership(diagram: GreechieDiagram, p, tol="1e-9") -> HullMembership:
         raise ValueError("tolerance must be nonnegative")
 
     m = len(diagram.atoms)
-    k = len(found)
-    states = tuple(frozenset(chosen) for _, chosen in found)
+    k = len(masks)
+    states = tuple(_states_of(diagram, masks))
     # the constraint matrix is integer (0, ±1); only the right-hand side is
     # fractional, which is what the integer tableau of feasibility expects
-    vertex = [[1 if mask & bit else 0 for mask, _ in found]
+    vertex = [[1 if mask & bit else 0 for mask in masks]
               for bit in _atom_bits(diagram)]
 
     # exact reproduction first: clean certificates whenever p is hit exactly

@@ -53,6 +53,8 @@ from .saturation import (SaturationOutcome, check_margin, integer_witness,
 
 DISTINCTNESS_MARGIN = 0.05
 SUCCESS_PENALTY = 1e-12
+# the float tolerance of ``verify_realization`` on unit vectors
+VERIFY_TOLERANCE = 1e-9
 # the most float cells one block of search restarts may hold: a restart
 # counts n x n cells for its rows of the stacked overlap arrays or, when
 # that is more, n x 2·MEMORY·w for its L-BFGS pairs.  One stacked array
@@ -296,7 +298,6 @@ def _is_integer(v) -> bool:
 def verify_realization(
     diagram: GreechieDiagram,
     realization: Realization,
-    tol: float = 1e-9,
     margin: float = DISTINCTNESS_MARGIN,
 ):
     """Check all realization constraints; returns (ok, violations).
@@ -307,11 +308,11 @@ def verify_realization(
     open interval (0, 1) raises instead of being reported.
 
     When every vector is a tuple or list of Python ints, the vectors are
-    rays of Z^d and the check is exact, with no ``tol``: a zero vector is a
+    rays of Z^d and the check is exact, with no tolerance: a zero vector is a
     'norm' violation, a context pair needs a zero dot product, and any
     other pair needs (u·v)^2 <= (1 - margin)^2 |u|^2 |v|^2, with ``margin``
     read as the exact value of the float.  Otherwise the vectors are
-    complex unit vectors, checked in floats within ``tol``.
+    complex unit vectors, checked in floats within VERIFY_TOLERANCE.
     """
     check_margin(margin)
     vecs = {}
@@ -333,18 +334,19 @@ def verify_realization(
     if exact:
         violations = _exact_violations(vecs, pairs, others, margin)
     else:
-        violations = _float_violations(vecs, pairs, others, tol, margin)
+        violations = _float_violations(vecs, pairs, others, margin)
     return not violations, violations
 
 
-def _float_violations(vecs, pairs, others, tol, margin) -> list:
+def _float_violations(vecs, pairs, others, margin) -> list:
     violations = []
     for atom, v in vecs.items():
         defect = abs(_norm(v) - 1.0)
-        if defect > tol:
+        if defect > VERIFY_TOLERANCE:
             violations.append(("norm", (atom,), defect))
-    for kind, group, limit in (("orthogonality", pairs, tol),
-                               ("collinear", others, 1.0 - margin + tol)):
+    for kind, group, limit in (
+            ("orthogonality", pairs, VERIFY_TOLERANCE),
+            ("collinear", others, 1.0 - margin + VERIFY_TOLERANCE)):
         for x, y in group:
             ov = abs(_vdot(vecs[x], vecs[y]))
             if ov > limit:

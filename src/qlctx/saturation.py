@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .logic import GreechieDiagram, orthogonal_pairs
+from .logic import GreechieDiagram, link_atoms, orthogonal_pairs
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def integer_witness(
     adjacent = _neighbours(diagram, orthogonal_pairs(diagram))
     neighbours = [sorted(nu) for nu in adjacent]  # in atom order
     index = {a: i for i, a in enumerate(atoms)}
-    uses = collections.Counter(index[a] for ctx in diagram.contexts for a in ctx)
+    links = {index[a] for a in link_atoms(diagram)}
     bound = (1 - Fraction(margin)) ** 2
     num, den = bound.numerator, bound.denominator
 
@@ -239,7 +239,7 @@ def integer_witness(
     generic = _generic_vectors()
     while len(placed) < n:
         i = min((j for j in range(n) if vectors[j] is None),
-                key=lambda j: (-placed_neighbours[j], uses[j] < 2, j))
+                key=lambda j: (-placed_neighbours[j], j not in links, j))
         beside = [k for k in neighbours[i] if vectors[k] is not None]
         mark = len(placed)
         for _ in range(CANDIDATES):

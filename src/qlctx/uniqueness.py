@@ -11,7 +11,9 @@ treated as zero when its magnitude is not above the given tolerance.  The
 uniqueness check reads every possibility set from one d×d occupancy table
 per site pair, filled from the digit rows of the K remaining amplitudes in
 O(K·n²); counterfactual completion needs only the observed site's row,
-read from the digit columns of the filtered state in O(K·n).
+read from the digit columns of the support rows that have the observed
+level, in O(K·n).  Both threshold the amplitudes of psi itself, so they
+agree at the same tolerance.
 """
 
 from __future__ import annotations
@@ -182,12 +184,14 @@ def counterfactual_complete(
 
     Raises NullFilterError when the observed outcome has zero probability.
     """
-    filtered = filter_outcome(psi, site, outcome, tol)  # raises on null filter
-    label = psi.labels[psi.label_index(outcome)]
-    # every remaining term has the observed level at ``site``, so site t's
-    # possible levels are the ones in digit column t: O(K·n)
+    filter_outcome(psi, site, outcome, tol)  # range, label and null filter
+    level = psi.label_index(outcome)
+    # psi's support rows with the observed level at ``site``, thresholded as
+    # check_uniqueness thresholds them; site t's possible levels are the
+    # ones in digit column t: O(K·n)
+    digits = _support_digits(psi, tol)
     seen = np.zeros((psi.sites, psi.site_dim), dtype=bool)
-    seen[np.arange(psi.sites), _support_digits(filtered, tol)] = True
+    seen[np.arange(psi.sites), digits[digits[:, site] == level]] = True
     sups = {
         t: tuple(lab for lab, hit in zip(psi.labels, row) if hit)
         for t, row in enumerate(seen.tolist())
@@ -195,4 +199,5 @@ def counterfactual_complete(
     }
     determined = {t: v[0] for t, v in sups.items() if len(v) == 1}
     ambiguous = {t: v for t, v in sups.items() if len(v) != 1}
-    return CounterfactualOutcome(site, label, determined, ambiguous)
+    return CounterfactualOutcome(site, psi.labels[level], determined,
+                                 ambiguous)

@@ -2,6 +2,7 @@ import gc
 import itertools
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -214,6 +215,20 @@ LARGE_FAMILIES = [
 ]
 
 
+def mask_vector(diagram, mask):
+    """The 0/1 assignment a state mask encodes, atom 0 its highest bit."""
+    return tuple(map(int, format(mask, f"0{len(diagram.atoms)}b")))
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBitmaskEnumeration:
     @pytest.mark.parametrize("d, count", LARGE_FAMILIES)
     def test_matches_frozenset_backtracker(self, d, count):
@@ -224,7 +239,9 @@ class TestBitmaskEnumeration:
     @pytest.mark.parametrize("d, count", LARGE_FAMILIES)
     def test_classify_and_pairs_on_masks(self, d, count):
         states = reference_two_valued_states(d)
-        masks = [mask for mask, _ in logic._enumerate(d)]
+        masks = logic._enumerate(d)
+        assert [mask_vector(d, m) for m in masks] == \
+            [state_vector(d, s) for s in states]
         pairs = reference_pairs(d, states)
         assert logic._pairs_in(d, masks) == pairs
         assert nonseparating_pairs(d) == pairs
@@ -242,13 +259,20 @@ class TestBitmaskEnumeration:
         # atom 0 is the most significant bit, so ascending masks are the
         # assignment vectors in lexicographic order
         d = corpus.load(name)
-        found = logic._enumerate(d)
-        width = len(d.atoms)
-        assert [m for m, _ in found] == sorted({m for m, _ in found})
-        for (mask, chosen), state in zip(found, two_valued_states(d)):
-            assert frozenset(chosen) == state
-            assert tuple(map(int, format(mask, f"0{width}b"))) == \
-                state_vector(d, state)
+        masks = logic._enumerate(d)
+        states = reference_two_valued_states(d)
+        assert masks == sorted(set(masks))
+        assert len(masks) == len(states)
+        for mask, state in zip(masks, states):
+            assert mask_vector(d, mask) == state_vector(d, state)
+        assert logic._states_of(d, masks) == states == two_valued_states(d)
+
+    def test_classify_peak_memory_on_a_20_tripod_chain(self):
+        # 28,657 states held as masks alone, without a tuple of atom names
+        # beside each
+        d = tripod_chain(20)
+        assert classify(d).state_count == _fibonacci(23)
+        assert peak_bytes(lambda: classify(d)) < 3 * 2**20
 
 
 class TestClassify:
@@ -378,12 +402,14 @@ class TestPairsBySignature:
         for seed in range(40):
             d = random_diagram(np.random.default_rng(seed))
             found = logic._enumerate(d)
+            reference = reference_two_valued_states(d)
+            assert [mask_vector(d, m) for m in found] == \
+                [state_vector(d, s) for s in reference]
             for k in sorted({0, 1, 2, len(found) // 2, len(found)}):
-                subset = [found[i] for i in sorted(
-                    rng.choice(len(found), size=min(k, len(found)),
-                               replace=False))]
-                masks = [mask for mask, _ in subset]
-                states = [frozenset(chosen) for _, chosen in subset]
+                picked = sorted(rng.choice(len(found), size=min(k, len(found)),
+                                           replace=False))
+                masks = [found[i] for i in picked]
+                states = [reference[i] for i in picked]
                 assert logic._pairs_in(d, masks) == reference_pairs(d, states)
 
 

@@ -271,7 +271,7 @@ class TestSearch:
     def test_witness_the_verifier_rejects_is_not_reported(self, monkeypatch):
         calls = []
 
-        def rejecting(diagram, realization, tol=1e-9, margin=None):
+        def rejecting(diagram, realization, margin=None):
             calls.append(margin)
             return False, [("orthogonality", ("A", "B"), 1.0)]
 
@@ -416,9 +416,9 @@ class TestExactStage:
     def test_witness_is_verified_in_integers(self, monkeypatch):
         seen = []
 
-        def recorded(diagram, realization, tol=1e-9, margin=None):
+        def recorded(diagram, realization, margin=None):
             seen.append(realization.vectors)
-            return verify_realization(diagram, realization, tol, margin)
+            return verify_realization(diagram, realization, margin)
 
         monkeypatch.setattr(realizability, "verify_realization", recorded)
         result = search_realization(corpus.load("fig2a"), 3)
@@ -458,7 +458,7 @@ class TestExactStage:
     def test_witness_the_verifier_rejects_falls_through(self, monkeypatch):
         calls = []
 
-        def rejecting(diagram, realization, tol=1e-9, margin=None):
+        def rejecting(diagram, realization, margin=None):
             calls.append(margin)
             return False, [("orthogonality", ("A", "B"), 1.0)]
 
@@ -716,6 +716,19 @@ class TestVerify:
         ok, violations = verify_realization(corpus.load("fig1"), real)
         assert not ok
         assert any(kind == "norm" and atoms == ("B",) for kind, atoms, _ in violations)
+
+    def test_tolerance_is_fixed_at_1e_9(self):
+        # a nan or inf tolerance would pass every comparison, so none can
+        # be passed in
+        assert realizability.VERIFY_TOLERANCE == 1e-9
+        d = corpus.load("fig1")
+        collapsed = Realization({a: (1 + 0j, 0j, 0j) for a in d.atoms})
+        with pytest.raises(TypeError):
+            verify_realization(d, collapsed, tol=float("nan"))
+        for scale, ok in ((1 + 0.5e-9, True), (1 + 2e-9, False)):
+            real = fig1_vectors(np.pi / 7)
+            real.vectors["B"] = real.vectors["B"] * scale
+            assert verify_realization(d, real)[0] is ok
 
     def test_single_context_standard_basis(self):
         d = make_diagram([("x", "y", "z")])

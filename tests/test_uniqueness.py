@@ -158,6 +158,16 @@ class TestCounterfactual:
         with pytest.raises(NullFilterError):
             counterfactual_complete(two_term, 0, "0")
 
+    def test_small_filtered_amplitudes_are_not_renormalized(self):
+        # after the filter on site 0 = '-' only 2e-9 and 0.9e-9 are left;
+        # renormalizing them would lift 0.9e-9 above the tolerance, while
+        # check_uniqueness compares the amplitudes of psi itself
+        psi = from_terms(2, 2, [(1, "++"), (2e-9, "-+"), (0.9e-9, "--")])
+        sups = check_uniqueness(psi, tol=1e-9).possibilities[(0, "-")]
+        assert sups == {1: ("+",)}
+        out = counterfactual_complete(psi, 0, "-", tol=1e-9)
+        assert out.complete and out.determined == {1: "+"}
+
     def test_agrees_with_possibility_sets(self):
         # completion succeeds exactly when every possibility set is a singleton
         for name in CATALOG:
@@ -255,16 +265,15 @@ class TestAgainstReference:
             self._agree(psi, tol)
 
     def test_counterfactual_matches_reference_possibilities(self):
-        # completion reads the renormalized filtered state, so the oracle
-        # runs on that state too; the rotated 12-site spin-1/2 GHZ state
-        # is dense
+        # completion thresholds the amplitudes of psi, as check_uniqueness
+        # does, so the oracle runs on psi; the sparse states put amplitudes
+        # on both sides of the tolerance, and the rotated 12-site spin-1/2
+        # GHZ state is dense
         ghz = from_terms(12, 2, [(1, "+" * 12), (1, "-" * 12)])
         rotated = apply_identical_local(
             ghz, sample_rotation(2, np.random.default_rng(17)).unitary)
         for psi in [*_sparse_states(), rotated]:
-            for site, outcome in reference_uniqueness(psi)[1]:
-                filtered = filter_outcome(psi, site, outcome)
-                want = reference_uniqueness(filtered)[1][(site, outcome)]
+            for (site, outcome), want in reference_uniqueness(psi)[1].items():
                 done = counterfactual_complete(psi, site, outcome)
                 forced = {t: (v,) for t, v in done.determined.items()}
                 assert {**forced, **done.ambiguous} == want
