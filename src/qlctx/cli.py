@@ -372,12 +372,10 @@ def uniq_check(state_file, rotations, seed, tol, as_json):
 
     psi = _load(state_file, statemod.read_qs)
     with _usage_errors():
-        base = uniqueness.check_uniqueness(psi, tol=tol)
-        rotated = []
-        if rotations > 0:
-            rotated = uniqueness.check_uniqueness_rotated(
-                psi, rotations, seed=seed, tol=tol
-            )
+        results = uniqueness.check_uniqueness_rotated(psi, rotations,
+                                                      seed=seed, tol=tol)
+    base = results[0].report
+    rotated = results if rotations else []
     unique = base.overall and all(r.report.overall for r in rotated)
     payload = {
         "unique": unique,

@@ -332,10 +332,6 @@ def hull_membership(diagram: GreechieDiagram, p, tol="1e-9") -> HullMembership:
     same types; a decimal string such as the default '1e-9' is read
     exactly, where a float enters with its binary value.
     """
-    masks = _enumerate(diagram)
-    if not masks:
-        raise ValueError("no classical states: the diagram admits no "
-                         "two-valued states")
     for atom in p:
         if atom not in diagram.atoms:
             raise ValueError(f"unknown atom {atom!r} in probability assignment")
@@ -345,6 +341,10 @@ def hull_membership(diagram: GreechieDiagram, p, tol="1e-9") -> HullMembership:
     tol = _to_fraction(tol)
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
+    masks = _enumerate(diagram)
+    if not masks:
+        raise ValueError("no classical states: the diagram admits no "
+                         "two-valued states")
 
     m = len(diagram.atoms)
     k = len(masks)

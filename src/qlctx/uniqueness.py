@@ -10,10 +10,11 @@ The analysis here is exact on amplitudes (no sampling); an amplitude is
 treated as zero when its magnitude is not above the given tolerance.  The
 uniqueness check reads every possibility set from one d×d occupancy table
 per site pair, filled from the digit rows of the K remaining amplitudes in
-O(K·n²); counterfactual completion needs only the observed site's row,
-read from the digit columns of the support rows that have the observed
-level, in O(K·n).  Both threshold the amplitudes of psi itself, so they
-agree at the same tolerance.
+O(K·n²).  Filtering and completion share one gate that thresholds the
+observed level's slab of psi (a view of d^(n-1) amplitudes) once, and
+completion reads the other sites' levels from the digit rows of its mask;
+like the check, both threshold psi itself, at one tolerance.  The rotated
+check's identity entry is the check of psi itself.
 """
 
 from __future__ import annotations
@@ -35,6 +36,22 @@ class NullFilterError(ValueError):
     """Conditioning on an outcome of (numerically) zero probability."""
 
 
+def _observed(psi: MultipartiteState, site: int, outcome, tol: float):
+    """Level index of ``outcome`` at ``site`` and the mask of the amplitudes
+    of its slab (the other sites' axes, in order) that are above ``tol``.
+    Raises NullFilterError when the mask is empty."""
+    if not 0 <= site < psi.sites:
+        raise ValueError(f"site {site} out of range")
+    level = psi.label_index(outcome)
+    mask = np.abs(np.moveaxis(psi.tensor_view(), site, 0)[level]) > tol
+    if not mask.any():
+        raise NullFilterError(
+            f"null filter: outcome {psi.labels[level]!r} has zero probability "
+            f"at site {site}"
+        )
+    return level, mask
+
+
 def filter_outcome(
     psi: MultipartiteState, site: int, outcome, tol: float = 1e-9
 ) -> MultipartiteState:
@@ -42,19 +59,11 @@ def filter_outcome(
 
     Raises NullFilterError when the outcome carries no amplitude.
     """
-    if not 0 <= site < psi.sites:
-        raise ValueError(f"site {site} out of range")
-    k = psi.label_index(outcome)
-    tens = np.moveaxis(psi.tensor_view(), site, 0)
+    level, _ = _observed(psi, site, outcome, tol)
+    tens = psi.tensor_view()
     projected = np.zeros_like(tens)
-    projected[k] = tens[k]
-    if np.max(np.abs(projected)) <= tol:
-        raise NullFilterError(
-            f"null filter: outcome {psi.labels[k]!r} has zero probability "
-            f"at site {site}"
-        )
-    back = np.moveaxis(projected, 0, site)
-    return MultipartiteState(psi.sites, psi.site_dim, back.reshape(-1))
+    np.moveaxis(projected, site, 0)[level] = np.moveaxis(tens, site, 0)[level]
+    return MultipartiteState(psi.sites, psi.site_dim, projected.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -95,11 +104,6 @@ def check_uniqueness(psi: MultipartiteState, tol: float = 1e-9) -> UniquenessRep
     return UniquenessReport(tuple(verdicts), possibilities, term_count)
 
 
-def _support_digits(psi: MultipartiteState, tol: float) -> np.ndarray:
-    """The (K, n) levels of the K amplitudes above ``tol``, one row each."""
-    return np.argwhere(np.abs(psi.tensor_view()) > tol)
-
-
 def _possibilities(psi: MultipartiteState, tol: float) -> tuple[dict, int]:
     """Possibility sets of every site outcome that has an amplitude above
     ``tol``, keyed (site, label) in site then level order, and the number
@@ -111,7 +115,7 @@ def _possibilities(psi: MultipartiteState, tol: float) -> tuple[dict, int]:
     O(K·n²) for K terms.  The diagonal ``table[s, s, a, a]`` says level a
     is possible at site s.
     """
-    digits = _support_digits(psi, tol)
+    digits = np.argwhere(np.abs(psi.tensor_view()) > tol)
     n, labels = psi.sites, psi.labels
     table = np.zeros((n, n, psi.site_dim, psi.site_dim), dtype=bool)
     sites = np.arange(n)
@@ -143,17 +147,17 @@ def check_uniqueness_rotated(
 ) -> list[RotatedUniqueness]:
     """Uniqueness of psi after identical local rotations of every site.
 
-    Entry 0 is always the identity rotation; entries 1..trials use seeded
-    random rotations (uniform axis, uniform angle).  Results are returned
-    in trial order.
+    Entry 0 is the identity rotation, checked on psi itself; entries
+    1..trials use seeded random rotations (uniform axis, uniform angle), in
+    trial order.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     rng = np.random.default_rng(seed)
-    rotations = [identity_rotation(psi.site_dim)]
-    rotations += [sample_rotation(psi.site_dim, rng) for _ in range(trials)]
-    out = []
-    for rot in rotations:
+    out = [RotatedUniqueness(identity_rotation(psi.site_dim),
+                             check_uniqueness(psi, tol))]
+    for _ in range(trials):
+        rot = sample_rotation(psi.site_dim, rng)
         rotated = apply_identical_local(psi, rot.unitary)
         out.append(RotatedUniqueness(rot, check_uniqueness(rotated, tol)))
     return out
@@ -184,18 +188,15 @@ def counterfactual_complete(
 
     Raises NullFilterError when the observed outcome has zero probability.
     """
-    filter_outcome(psi, site, outcome, tol)  # range, label and null filter
-    level = psi.label_index(outcome)
-    # psi's support rows with the observed level at ``site``, thresholded as
-    # check_uniqueness thresholds them; site t's possible levels are the
-    # ones in digit column t: O(K·n)
-    digits = _support_digits(psi, tol)
-    seen = np.zeros((psi.sites, psi.site_dim), dtype=bool)
-    seen[np.arange(psi.sites), digits[digits[:, site] == level]] = True
+    level, mask = _observed(psi, site, outcome, tol)
+    # the digit rows of the slab's mask hold the other sites' levels, in
+    # site order, of every amplitude above ``tol`` with the observed level
+    others = [t for t in range(psi.sites) if t != site]
+    seen = np.zeros((len(others), psi.site_dim), dtype=bool)
+    seen[np.arange(len(others)), np.argwhere(mask)] = True
     sups = {
         t: tuple(lab for lab, hit in zip(psi.labels, row) if hit)
-        for t, row in enumerate(seen.tolist())
-        if t != site
+        for t, row in zip(others, seen.tolist())
     }
     determined = {t: v[0] for t, v in sups.items() if len(v) == 1}
     ambiguous = {t: v for t, v in sups.items() if len(v) != 1}

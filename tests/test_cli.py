@@ -236,6 +236,24 @@ class TestRealizabilityCommands:
         ok, _ = verify_realization(corpus.load("fig1"), real)
         assert ok
 
+    def test_realize_numerical_witness_to_file(self, tmp_path):
+        # fig1 in dimension 4 is left open by the exact stage: L-BFGS finds it
+        out = tmp_path / "fig1.real"
+        result = run("realize", corpus.data_path("fig1"), "--dim", "4",
+                     "--restarts", "2", "-o", out)
+        assert result.exit_code == 0
+        real = load_realization(out.read_text())
+        assert {len(v) for v in real.vectors.values()} == {4}
+        assert verify_realization(corpus.load("fig1"), real)[0]
+
+    def test_realize_fig3_searches_without_a_witness(self):
+        result = run("realize", corpus.data_path("fig3"), "--dim", "3",
+                     "--restarts", "2", "--json")
+        assert result.exit_code == 1
+        got = json.loads(result.output)
+        assert got["success"] is False
+        assert len(got["restart_penalties"]) == 2
+
     def test_realize_exits_1_when_the_verifier_rejects(self, monkeypatch,
                                                        tmp_path):
         from qlctx import realizability
@@ -717,11 +735,12 @@ class TestLeanImports:
             "print(verify_realization(corpus.load('fig2a'), real)[0])")
         assert check.returncode == 0, check.stderr
         assert check.stdout == "True\n"
-        for name, dim, proof in (("fig2b", 3, "refuted: two distinct atoms"),
-                                 ("fig1", 2, "refuted: dimension 2")):
-            proc = realize(name, dim)
-            assert proc.returncode == 1, proc.stderr
-            assert proof in proc.stdout
+        proc = realize("fig2b", 3)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == (GOLDEN / "saturate_fig2b.txt").read_text()
+        proc = realize("fig1", 2)
+        assert proc.returncode == 1, proc.stderr
+        assert "refuted: dimension 2" in proc.stdout
 
     def test_realize_runs_with_scipy_unimportable(self):
         # fig2a is decided exactly; fig1 in dimension 4 runs L-BFGS

@@ -607,6 +607,20 @@ class TestHullMembership:
         with pytest.raises(ValueError, match="unknown atom"):
             hull_membership(single_context(), {"Z": 1})
 
+    def test_bad_input_is_refused_before_enumeration(self, monkeypatch):
+        def enumerate_(diagram):
+            raise AssertionError("enumerated before checking p and tol")
+
+        monkeypatch.setattr(logic, "_enumerate", enumerate_)
+        for p, tol, message in [({"Z": 1}, "1e-9", "unknown atom 'Z'"),
+                                ({"A": 2}, "1e-9", r"must lie in \[0, 1\]"),
+                                ({"A": 1}, -1, "tolerance must be nonnegative")]:
+            with pytest.raises(ValueError, match=message):
+                hull_membership(single_context(), p, tol=tol)
+        # on a state-free diagram the unknown atom is named first
+        with pytest.raises(ValueError, match="unknown atom"):
+            hull_membership(odd_cycle(), {"Z": 1})
+
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_rejects_non_finite_numbers(self, value):
         with pytest.raises(ValueError, match="not a finite number"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,24 @@ class TestFilter:
         by_label = filter_outcome(catalog_state("psi2"), 0, "-")
         by_index = filter_outcome(catalog_state("psi2"), 0, 2)
         assert by_label.overlap(by_index) >= 1 - 1e-12
+
+    def test_one_site_state(self):
+        psi = MultipartiteState(1, 3, np.array([0.6, 0.0, 0.8j]))
+        out = filter_outcome(psi, 0, "-")
+        assert np.array_equal(out.coeffs, [0, 0, 1j])
+        with pytest.raises(NullFilterError, match="outcome '0'"):
+            filter_outcome(psi, 0, "0")
+
+    @pytest.mark.parametrize("site", [0, 1, 3])
+    def test_other_sites_untouched(self, site):
+        rng = np.random.default_rng(site)
+        psi = apply_identical_local(from_terms(4, 3, [(1, "+0-+")]),
+                                    sample_rotation(3, rng).unitary)
+        out = filter_outcome(psi, site, "0")
+        slabs = np.moveaxis(out.tensor_view(), site, 0)
+        want = np.moveaxis(psi.tensor_view(), site, 0)[1]
+        assert not slabs[0].any() and not slabs[2].any()
+        assert np.allclose(slabs[1], want / np.linalg.norm(want))
 
 
 class TestCheckUniqueness:
@@ -131,6 +151,26 @@ class TestRotated:
         results = check_uniqueness_rotated(catalog_state("psi2"), trials=100, seed=0)
         assert all(r.report.overall for r in results)
 
+    def test_zero_trials_is_the_identity_entry_alone(self):
+        results = check_uniqueness_rotated(catalog_state("psi3"), 0)
+        assert len(results) == 1
+        assert results[0].rotation.angle == 0.0
+        assert not results[0].report.overall
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            check_uniqueness_rotated(catalog_state("psi3"), -1)
+
+    def test_identity_entry_is_the_check_of_psi(self):
+        rng = np.random.default_rng(3)
+        psi = apply_identical_local(from_terms(5, 3, [(1, "+0-0+")]),
+                                    sample_rotation(3, rng).unitary)
+        for tol in (1e-9, 0.05):
+            first = check_uniqueness_rotated(psi, 2, seed=1, tol=tol)[0].report
+            report = check_uniqueness(psi, tol)
+            assert first.site_verdicts == report.site_verdicts
+            assert first.possibilities == report.possibilities
+            assert list(first.possibilities) == list(report.possibilities)
+            assert first.term_count == report.term_count
+
     def test_results_in_trial_order_and_deterministic(self):
         a = check_uniqueness_rotated(catalog_state("ghzm"), trials=5, seed=9)
         b = check_uniqueness_rotated(catalog_state("ghzm"), trials=5, seed=9)
@@ -167,6 +207,36 @@ class TestCounterfactual:
         assert sups == {1: ("+",)}
         out = counterfactual_complete(psi, 0, "-", tol=1e-9)
         assert out.complete and out.determined == {1: "+"}
+
+    def test_one_site_state(self):
+        psi = MultipartiteState(1, 2, np.array([1.0, 1.0]))
+        out = counterfactual_complete(psi, 0, "-")
+        assert out.complete and out.outcome == "-"
+        assert out.determined == {} and out.ambiguous == {}
+        with pytest.raises(NullFilterError):
+            counterfactual_complete(filter_outcome(psi, 0, "+"), 0, "-")
+
+    def test_checks_in_order(self):
+        psi = catalog_state("psi2")
+        with pytest.raises(ValueError, match="site 2 out of range"):
+            counterfactual_complete(psi, 2, "bogus")
+        with pytest.raises(ValueError, match="unknown outcome 'bogus'"):
+            counterfactual_complete(psi, 0, "bogus")
+
+    def test_reads_one_slab_of_memory(self):
+        # a two-term 12-site spin-1 state: the tensor holds 3^12 amplitudes
+        # (8.5 MB), the observed slab 3^11; a gate that copies the whole
+        # tensor peaks near 17 MB
+        psi = from_terms(12, 3, [(1, "+0-+0-+0-+0-"), (1, "-0+-0+-0+-0+")])
+        for site in (0, 5, 11):
+            tracemalloc.start()
+            try:
+                out = counterfactual_complete(psi, site, "+")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.complete and len(out.determined) == 11
+            assert peak < 3e6
 
     def test_agrees_with_possibility_sets(self):
         # completion succeeds exactly when every possibility set is a singleton
