@@ -255,9 +255,11 @@ def realize(diagram_file, dim, seed, restarts, complex_space, outfile, as_json):
     from . import realizability
 
     diagram = _load(diagram_file, logic.parse_diagram)
-    result = realizability.search_realization(
-        diagram, dim, seed=seed, restarts=restarts, complex_space=complex_space
-    )
+    with _usage_errors():
+        result = realizability.search_realization(
+            diagram, dim, seed=seed, restarts=restarts,
+            complex_space=complex_space
+        )
     refutation = result.refutation
     if refutation is not None:
         if isinstance(refutation, realizability.OversizedContext):

@@ -34,6 +34,10 @@ from ._lp import feasibility
 
 TwoValuedState = frozenset  # atoms assigned 1; all other atoms are 0
 
+# the most two-valued states one enumeration lists; a 20-tripod chain has
+# F(23) = 28,657 of them and a 30-tripod chain F(33) = 3,524,578
+MAX_STATES = 1 << 20
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
@@ -150,35 +154,46 @@ def _enumerate(diagram: GreechieDiagram) -> list[int]:
 
     A mask holds one bit per atom, atom 0 the most significant, so ascending
     masks are the assignment vectors in lexicographic atom order.  Backtracks
-    over contexts in file order on two masks, the atoms set to 1 and those
-    set to 0.  Distinct branches differ in some chosen atom, so no state is
-    found twice.  A diagram with more contexts than Python's recursion limit
-    raises ValueError.
+    over contexts in file order on one mask, the atoms set to 1.  Once
+    contexts 0..ci-1 are walked, every atom they hold is decided: 1 if its
+    bit is in the mask and 0 otherwise.  So a context that already holds one
+    1 passes on, one that holds two is a dead end, and one that holds none
+    takes its 1 from the atoms no earlier context holds.  Distinct branches
+    differ in some chosen atom, so no state is found twice.  More than
+    MAX_STATES states, or more contexts than Python's recursion limit, raise
+    ValueError.
     """
     bits = dict(zip(diagram.atoms, _atom_bits(diagram)))
     contexts = []
+    covered = 0
     for ctx in diagram.contexts:
         mask = sum(bits[a] for a in ctx)
-        contexts.append((mask, [(bits[a], mask ^ bits[a]) for a in ctx]))
+        contexts.append((mask, [bits[a] for a in ctx if not covered & bits[a]]))
+        covered |= mask
     last = len(contexts)
+    cap = MAX_STATES
     found: list[int] = []
 
-    def backtrack(ci: int, ones: int, zeros: int):
+    def backtrack(ci: int, ones: int):
         if ci == last:
+            if len(found) == cap:
+                raise ValueError(
+                    f"the diagram has more than {cap} two-valued states, "
+                    "the most an enumeration lists"
+                )
             found.append(ones)
             return
-        mask, choices = contexts[ci]
+        mask, free = contexts[ci]
         held = ones & mask
         if held:
-            if not held & (held - 1):  # one 1 already: the rest become 0
-                backtrack(ci + 1, ones, zeros | (mask ^ held))
+            if not held & (held - 1):  # one 1 already: the rest are 0
+                backtrack(ci + 1, ones)
             return
-        for bit, rest in choices:
-            if not zeros & bit:
-                backtrack(ci + 1, ones | bit, zeros | rest)
+        for bit in free:
+            backtrack(ci + 1, ones | bit)
 
     try:
-        backtrack(0, 0, 0)
+        backtrack(0, 0)
     except RecursionError:
         raise ValueError(
             f"{last} contexts are too many for the backtracking enumeration, "

@@ -61,6 +61,10 @@ VERIFY_TOLERANCE = 1e-9
 # stays within 512 KB, and a 150-tripod chain (301 atoms) runs one restart
 # per block
 BATCH_CELLS = 1 << 16
+# the most vector coordinates a search may ask for: n atoms times dim, or
+# 2·dim in a complex space.  A 150-tripod complex chain in dimension 3
+# needs 1,806
+MAX_COORDINATES = 1 << 18
 
 
 # --- realization search ------------------------------------------------------
@@ -134,13 +138,21 @@ def search_realization(
     dimensions are 3, ``_exact_search`` runs next, and a witness it finds is
     the result, whatever ``seed``, ``restarts`` and ``complex_space`` say.
     Every other diagram goes to ``_numerical_search`` with the same
-    arguments.  ``margin`` must lie in the open interval (0, 1).
+    arguments.  ``margin`` must lie in the open interval (0, 1), and the
+    search may need at most MAX_COORDINATES coordinates; both are checked
+    before any stage.
     """
     if dim < 2:
         raise ValueError("realization dimension must be >= 2")
     if restarts < 1:
         raise ValueError("need at least one restart")
     check_margin(margin)
+    coordinates = len(diagram.atoms) * dim * (2 if complex_space else 1)
+    if coordinates > MAX_COORDINATES:
+        raise ValueError(
+            f"{len(diagram.atoms)} atoms in dimension {dim} need {coordinates} "
+            f"coordinates, more than the {MAX_COORDINATES} a search may hold"
+        )
     refutation = None
     if dim < diagram.dim:
         refutation = OversizedContext(1, diagram.contexts[0], dim)

@@ -565,6 +565,17 @@ class TestBadInputExits2:
                      ("hull", gd, "--p", "c0=1")):
             assert_usage_error(run(*args), f"{n} contexts are too many")
 
+    def test_more_states_than_the_cap(self, tmp_path):
+        gd = tmp_path / "chain.gd"
+        gd.write_text("".join(f"context c{i} m{i} c{i + 1}\n" for i in range(40)))
+        assert_usage_error(run("states", "classify", gd),
+                           "more than 1048576 two-valued states")
+
+    def test_realize_more_coordinates_than_the_cap(self):
+        result = run("realize", corpus.data_path("fig1"), "--dim", "100000000")
+        assert_usage_error(result, "more than the 262144 a search may hold")
+        assert "Traceback" not in result.output
+
     def test_split_non_finite_entry(self, tmp_path):
         mat = tmp_path / "matrix.txt"
         for entry in ("nan", "inf", "1+infj"):

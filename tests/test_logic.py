@@ -144,6 +144,22 @@ class TestTwoValuedStates:
             with pytest.raises(ValueError, match=f"{n} contexts are too many"):
                 engine(chain)
 
+    def test_state_cap_boundary(self, monkeypatch):
+        # a 3-tripod chain has F(6) = 8 states: a cap of 8 lists them all,
+        # a cap of 7 refuses the eighth state in every engine
+        chain = tripod_chain(3)
+        engines = (two_valued_states, classify, nonseparating_pairs,
+                   lambda d: hull_membership(d, {"c0": 1}).states)
+        monkeypatch.setattr(logic, "MAX_STATES", 8)
+        assert len(two_valued_states(chain)) == 8
+        assert classify(chain).state_count == 8
+        assert len(hull_membership(chain, {"c0": 1}).states) == 8
+        assert nonseparating_pairs(chain) == []
+        monkeypatch.setattr(logic, "MAX_STATES", 7)
+        for engine in engines:
+            with pytest.raises(ValueError, match="more than 7 two-valued states"):
+                engine(chain)
+
     def test_enumeration_leaves_no_garbage_cycle(self):
         # a cycle would keep the states alive until the next cyclic
         # collection, which raises peak memory between collections
@@ -190,6 +206,15 @@ class TestOracleAgreement:
         for seed in range(200):
             d = random_diagram(np.random.default_rng(seed))
             assert two_valued_states(d) == oracle_two_valued(d)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_seeded_random_diagrams_in_other_dimensions(self, dim):
+        # reversed, the later contexts come first, so contexts whose atoms
+        # are all held by earlier ones are walked in both orders
+        for seed in range(100):
+            d = random_diagram(np.random.default_rng(seed), dim=dim)
+            for order in (d, make_diagram(reversed(d.contexts), atoms=d.atoms)):
+                assert two_valued_states(order) == oracle_two_valued(order)
 
 
 def _fibonacci(n):

@@ -829,6 +829,19 @@ def test_a_margin_outside_0_to_1_is_refused(monkeypatch, margin):
         integer_witness(fig2a, margin)
 
 
+def test_more_coordinates_than_the_cap_are_refused(monkeypatch):
+    # fig2a in dimension 3 needs 3n real or 6n complex coordinates: a cap of
+    # 3n admits the real search and refuses the complex one and dimension 4
+    monkeypatch.setattr(realizability, "minimize", no_search)
+    fig2a = corpus.load("fig2a")
+    n = len(fig2a.atoms)
+    monkeypatch.setattr(realizability, "MAX_COORDINATES", 3 * n)
+    assert search_realization(fig2a, 3).success
+    for dim, complex_space in ((3, True), (4, False)):
+        with pytest.raises(ValueError, match=f"more than the {3 * n}"):
+            search_realization(fig2a, dim, complex_space=complex_space)
+
+
 class TestBorn:
     def test_state_on_shared_leg(self):
         probs = born_probabilities(fig1_vectors(np.pi / 7), [0, 0, 1])
