@@ -52,8 +52,8 @@ def _echo_json(payload) -> None:
 def _load(path: str, reader):
     """``reader`` applied to the text of a file; errors name the file."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise click.UsageError(f"cannot read {path}: {exc}") from None
     with _usage_errors(path):
         return reader(text)
@@ -61,7 +61,7 @@ def _load(path: str, reader):
 
 def _write_output(text: str, outfile: str) -> None:
     try:
-        Path(outfile).write_text(text)
+        Path(outfile).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise click.UsageError(f"cannot write {outfile}: {exc}") from None
 

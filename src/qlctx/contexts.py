@@ -88,10 +88,12 @@ def link_observables(c1: Context, c2: Context, tol: float = 1e-9):
 
 def split_selfadjoint(a) -> tuple[np.ndarray, np.ndarray]:
     """Split a square matrix as A = A1 + i A2 with A1, A2 self-adjoint:
-    A1 = (A + A†)/2 and A2 = -i(A - A†)/2."""
+    A1 = A/2 + A†/2 and A2 = -i(A/2 - A†/2).
+
+    Halving first is exact for normal floats and keeps every sum within
+    range, so a finite A gives finite parts."""
     a = as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("split_selfadjoint expects a square matrix")
-    a1 = (a + a.conj().T) / 2.0
-    a2 = (a - a.conj().T) / 2.0j
-    return a1, a2
+    half = a / 2.0
+    return half + half.conj().T, (half - half.conj().T) / 1j

@@ -92,7 +92,7 @@ def data_path(entry_id: str) -> str:
 def load(entry_id: str):
     """Parse a corpus entry into a GreechieDiagram or MultipartiteState."""
     entry, data = _data(entry_id)
-    text = data.read_text()
+    text = data.read_text(encoding="utf-8")
     if entry.kind == "diagram":
         return parse_diagram(text)
     from ..states import read_qs

@@ -153,15 +153,15 @@ def _enumerate(diagram: GreechieDiagram) -> list[int]:
     """The mask of every two-valued state, ascending.
 
     A mask holds one bit per atom, atom 0 the most significant, so ascending
-    masks are the assignment vectors in lexicographic atom order.  Backtracks
-    over contexts in file order on one mask, the atoms set to 1.  Once
+    masks are the assignment vectors in lexicographic atom order.  Walks the
+    contexts in file order, depth first on an explicit stack of (ci, ones)
+    pairs: ones is the mask of atoms set to 1, ci the next context.  Once
     contexts 0..ci-1 are walked, every atom they hold is decided: 1 if its
     bit is in the mask and 0 otherwise.  So a context that already holds one
     1 passes on, one that holds two is a dead end, and one that holds none
-    takes its 1 from the atoms no earlier context holds.  Distinct branches
+    pushes one branch per atom no earlier context holds.  Distinct branches
     differ in some chosen atom, so no state is found twice.  More than
-    MAX_STATES states, or more contexts than Python's recursion limit, raise
-    ValueError.
+    MAX_STATES states raise ValueError.
     """
     bits = dict(zip(diagram.atoms, _atom_bits(diagram)))
     contexts = []
@@ -173,37 +173,27 @@ def _enumerate(diagram: GreechieDiagram) -> list[int]:
     last = len(contexts)
     cap = MAX_STATES
     found: list[int] = []
-
-    def backtrack(ci: int, ones: int):
-        if ci == last:
+    stack = [(0, 0)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        ci, ones = pop()
+        while ci < last:
+            mask, free = contexts[ci]
+            held = ones & mask
+            if not held:
+                for bit in free:
+                    push((ci + 1, ones | bit))
+                break
+            if held & (held - 1):  # two 1s: a dead end
+                break
+            ci += 1  # one 1 already: the rest are 0
+        else:
             if len(found) == cap:
                 raise ValueError(
                     f"the diagram has more than {cap} two-valued states, "
                     "the most an enumeration lists"
                 )
             found.append(ones)
-            return
-        mask, free = contexts[ci]
-        held = ones & mask
-        if held:
-            if not held & (held - 1):  # one 1 already: the rest are 0
-                backtrack(ci + 1, ones)
-            return
-        for bit in free:
-            backtrack(ci + 1, ones | bit)
-
-    try:
-        backtrack(0, 0)
-    except RecursionError:
-        raise ValueError(
-            f"{last} contexts are too many for the backtracking enumeration, "
-            "which recurses once per context"
-        ) from None
-    finally:
-        # the nested function refers to itself through its closure; breaking
-        # that cycle frees the closure (and the states it holds) on return
-        # instead of at the next cyclic garbage collection
-        del backtrack
     found.sort()
     return found
 

@@ -558,12 +558,21 @@ class TestBadInputExits2:
         assert_usage_error(result, "--seed")
 
     def test_more_contexts_than_recursion_depth(self, tmp_path):
-        n = sys.getrecursionlimit() + 200
+        # depth alone is no limit: 1,200 sliding windows have three states
+        n = 1200
+        assert n > sys.getrecursionlimit()
+        gd = tmp_path / "windows.gd"
+        gd.write_text("".join(f"context p{i} p{i + 1} p{i + 2}\n"
+                              for i in range(n)))
+        result = run("states", "enumerate", gd, "--json")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["count"] == 3
+        # a 1,200-tripod chain has F(1203) states: the state cap refuses it
         gd = tmp_path / "chain.gd"
         gd.write_text("".join(f"context c{i} m{i} c{i + 1}\n" for i in range(n)))
         for args in (("states", "enumerate", gd), ("states", "classify", gd),
                      ("hull", gd, "--p", "c0=1")):
-            assert_usage_error(run(*args), f"{n} contexts are too many")
+            assert_usage_error(run(*args), "more than 1048576 two-valued states")
 
     def test_more_states_than_the_cap(self, tmp_path):
         gd = tmp_path / "chain.gd"
@@ -607,6 +616,48 @@ class TestBadInputExits2:
                      "1.7e308,1.6e308,0")
         assert_usage_error(result, "Error: result out of floating-point range\n")
         assert "nan" not in result.output
+
+    @pytest.mark.filterwarnings("error")
+    def test_split_near_the_float_limit(self, tmp_path):
+        # halving before adding keeps A/2 + A†/2 in range: text and JSON
+        # both print the finite parts, with no warning
+        mat = tmp_path / "matrix.txt"
+        mat.write_text("1e308 1e308\n1e308 1e308\n")
+        result = run("split", "--matrix", mat)
+        assert result.exit_code == 0
+        assert "inf" not in result.output and "nan" not in result.output
+        result = run("split", "--matrix", mat, "--json")
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["real_part"] == [[[1e308, 0.0]] * 2] * 2
+        assert payload["imag_part"] == [[[0.0, 0.0]] * 2] * 2
+
+    @pytest.mark.parametrize("args", [
+        ("states", "enumerate", "{}"), ("states", "classify", "{}"),
+        ("hull", "{}", "--p", "A=1"), ("realize", "{}", "--dim", "3"),
+        ("saturate", "{}"), ("render", "{}"), ("uniq", "check", "{}"),
+        ("split", "--matrix", "{}"),
+    ])
+    def test_input_not_utf8(self, tmp_path, args):
+        bad = tmp_path / "bad.gd"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        result = run(*(a.format(bad) for a in args))
+        assert_usage_error(result, f"cannot read {bad}: 'utf-8' codec")
+        assert "Traceback" not in result.output
+
+    def test_files_are_utf8_in_an_ascii_locale(self, tmp_path):
+        # with C-locale coercion and UTF-8 mode off, the locale's encoding
+        # is ASCII; inputs and -o files are UTF-8 all the same
+        gd = tmp_path / "greek.gd"
+        gd.write_bytes("context α β γ\n".encode())
+        out = tmp_path / "greek.dot"
+        env = dict(os.environ, PYTHONPATH=str(SRC), LC_ALL="C",
+                   PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlctx.cli", "render", str(gd), "-o", str(out)],
+            capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert '"α" -- "β";' in out.read_bytes().decode("utf-8")
 
     def test_catalog_unwritable_output(self, tmp_path):
         out = tmp_path / "missing" / "psi2.qs"

@@ -154,6 +154,13 @@ class TestSplit:
                 assert np.max(np.abs(part - part.conj().T)) < 1e-12
             assert np.max(np.abs(a - (a1 + 1j * a2))) < 1e-12
 
+    def test_near_the_float_limit_stays_finite(self):
+        a = np.full((2, 2), 1e308 + 1e308j)
+        with np.errstate(all="raise"):
+            a1, a2 = split_selfadjoint(a)
+        assert np.array_equal(a1, np.full((2, 2), 1e308))
+        assert np.array_equal(a2, np.full((2, 2), 1e308))
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             split_selfadjoint(np.ones((2, 3)))

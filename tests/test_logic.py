@@ -136,13 +136,24 @@ class TestTwoValuedStates:
         assert two_valued_states(odd_cycle()) == []
 
     def test_more_contexts_than_recursion_depth(self):
-        # the backtracker recurses once per context, so a long tripod chain
-        # is refused with a ValueError instead of a RecursionError
-        n = sys.getrecursionlimit() + 200
-        chain = make_diagram([(f"c{i}", f"m{i}", f"c{i + 1}") for i in range(n)])
-        for engine in (two_valued_states, classify, nonseparating_pairs):
-            with pytest.raises(ValueError, match=f"{n} contexts are too many"):
-                engine(chain)
+        # the walk keeps its branches on an explicit stack, so more contexts
+        # than Python's recursion limit are enumerated like any others; one
+        # 1 in every window of three consecutive atoms leaves three states
+        n = 1200
+        assert n > sys.getrecursionlimit()
+        windows = make_diagram(
+            [(f"p{i}", f"p{i + 1}", f"p{i + 2}") for i in range(n)])
+        residues = [frozenset(f"p{i}" for i in range(r, n + 2, 3))
+                    for r in range(3)]
+        assert two_valued_states(windows) == residues[::-1]
+        result = classify(windows)
+        assert (result.kind, result.state_count) == ("unital_nonseparating", 3)
+        pairs = nonseparating_pairs(windows)
+        assert pairs == list(result.witness_pairs)
+        assert len(pairs) == sum(len(r) * (len(r) - 1) // 2 for r in residues)
+        assert ("p0", "p3") in pairs and ("p0", "p1") not in pairs
+        member = hull_membership(windows, {a: "1/3" for a in windows.atoms})
+        assert member.inside and member.weights == (Fraction(1, 3),) * 3
 
     def test_state_cap_boundary(self, monkeypatch):
         # a 3-tripod chain has F(6) = 8 states: a cap of 8 lists them all,
