@@ -6,7 +6,9 @@ no witness found), 2 = usage or input error.
 
 Every command builds its JSON payload and its text and ends in one call to
 ``_report``, which writes the ``-o`` artefact, prints the payload or the
-text and sets the exit code.
+text and sets the exit code.  The front end is the standard library's
+``argparse``: ``main`` builds the parser tree, runs the chosen command and
+turns a ``UsageError`` into the usage line, ``Error: <message>`` and exit 2.
 
 Only ``logic`` and ``_text`` (pure Python) are imported here; numpy and the
 other engine modules are imported inside the commands that use them, so a
@@ -17,18 +19,26 @@ or realized by an integer witness runs in pure Python.
 
 from __future__ import annotations
 
+import argparse
+import codecs
 import json
 import math
+import os
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-import click
-
 from . import _text, logic
 
 EXIT_NEGATIVE = 1
+EXIT_USAGE = 2
+
+
+class UsageError(Exception):
+    """A usage or input error: ``main`` prints it under the command's usage
+    line and exits 2."""
 
 
 @contextmanager
@@ -38,7 +48,7 @@ def _usage_errors(prefix: str | None = None):
     try:
         yield
     except ValueError as exc:
-        raise click.UsageError(f"{prefix}: {exc}" if prefix else str(exc)) from None
+        raise UsageError(f"{prefix}: {exc}" if prefix else str(exc)) from None
 
 
 def _echo_json(payload) -> None:
@@ -46,7 +56,22 @@ def _echo_json(payload) -> None:
     # rather than print NaN or Infinity, which are not JSON
     with _usage_errors("result out of floating-point range"):
         text = json.dumps(payload, indent=2, allow_nan=False)
-    click.echo(text)
+    _write(text + "\n")
+
+
+def _write(text: str) -> None:
+    """Print ``text`` on stdout, as UTF-8 when the locale says ASCII (every
+    file qlctx reads or writes is UTF-8, and atom names need not be ASCII)."""
+    out = sys.stdout
+    if out.encoding and codecs.lookup(out.encoding).name == "ascii":
+        out.reconfigure(encoding="utf-8")
+    try:
+        out.write(text)
+        out.flush()
+    except BrokenPipeError:
+        # the reader stopped early (``| head``): the exit code still gives
+        # the verdict, and the flush at exit must not print a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
 
 
 def _load(path: str, reader):
@@ -54,7 +79,7 @@ def _load(path: str, reader):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise click.UsageError(f"cannot read {path}: {exc}") from None
+        raise UsageError(f"cannot read {path}: {exc}") from None
     with _usage_errors(path):
         return reader(text)
 
@@ -63,7 +88,7 @@ def _write_output(text: str, outfile: str) -> None:
     try:
         Path(outfile).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise click.UsageError(f"cannot write {outfile}: {exc}") from None
+        raise UsageError(f"cannot write {outfile}: {exc}") from None
 
 
 def _report(as_json: bool, payload: dict, text: str | None,
@@ -78,7 +103,7 @@ def _report(as_json: bool, payload: dict, text: str | None,
     if as_json:
         _echo_json(payload)
     elif text is not None:
-        click.echo(text, nl=False)
+        _write(text)
     if negative:
         sys.exit(EXIT_NEGATIVE)
 
@@ -94,8 +119,15 @@ def _complex_rows(array) -> list:
     return np.stack([array.real, array.imag], -1).tolist()
 
 
+def _matrix_part(x: float, sign: str) -> str:
+    # in fixed point a part near the float limit is a 309-digit integer, so
+    # a magnitude of 1e15 or more is printed in exponent form
+    return format(x, f"{sign}.12{'e' if abs(x) >= 1e15 else 'f'}")
+
+
 def _matrix_lines(matrix) -> list:
-    return ["  " + "  ".join(f"{z.real: .12f}{z.imag:+.12f}j" for z in row)
+    return ["  " + "  ".join(_matrix_part(z.real, " ") + _matrix_part(z.imag, "+")
+                             + "j" for z in row)
             for row in matrix]
 
 
@@ -104,23 +136,9 @@ def _terms_payload(psi) -> list:
             for amp, digits in psi.terms()]
 
 
-@click.group()
-def main():
-    """Greechie-diagram logic, Hilbert-space realizability, and multipartite
-    spin-state uniqueness analyses."""
-
-
 # --- states enumerate / classify -----------------------------------------
 
 
-@main.group("states")
-def states_group():
-    """Two-valued-state analyses of a diagram."""
-
-
-@states_group.command("enumerate")
-@click.argument("diagram_file")
-@click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def states_enumerate(diagram_file, as_json):
     """Enumerate all two-valued states of a .gd diagram."""
     diagram = _load(diagram_file, logic.parse_diagram)
@@ -135,9 +153,6 @@ def states_enumerate(diagram_file, as_json):
             text, negative=not sts)
 
 
-@states_group.command("classify")
-@click.argument("diagram_file")
-@click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def states_classify(diagram_file, as_json):
     """Classify the two-valued state set of a .gd diagram."""
     diagram = _load(diagram_file, logic.parse_diagram)
@@ -169,40 +184,32 @@ def _parse_assignment(text: str) -> dict:
         if not piece:
             continue
         if "=" not in piece:
-            raise click.UsageError(
+            raise UsageError(
                 f"bad probability assignment {piece!r}; expected atom=value"
             )
         atom, value = piece.split("=", 1)
         atom = atom.strip()
         if atom in out:
-            raise click.UsageError(f"atom {atom!r} is assigned more than once")
+            raise UsageError(f"atom {atom!r} is assigned more than once")
         try:
             out[atom] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
-            raise click.UsageError(f"bad probability value {value!r}") from None
+            raise UsageError(f"bad probability value {value!r}") from None
     return out
 
 
-def _tolerance(ctx, param, value: str) -> Fraction:
+def _tolerance(text: str) -> Fraction:
     # a decimal string is read exactly: 1e-9 is 1/10**9, not the float's
     # binary value, so band weights keep short denominators
     try:
-        tol = Fraction(value)
+        tol = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise click.BadParameter(f"{value!r} is not a finite number") from None
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number") from None
     if tol < 0:
-        raise click.BadParameter(f"{value} is negative")
+        raise argparse.ArgumentTypeError(f"{text} is negative")
     return tol
 
 
-@main.command("hull")
-@click.argument("diagram_file")
-@click.option("--p", "assignment", required=True,
-              help="Atom probabilities, e.g. 'A=1,B=1/2'; unlisted atoms are 0.")
-@click.option("--tol", default="1e-9", show_default=True,
-              callback=_tolerance,
-              help="Feasibility tolerance, a decimal or a fraction.")
-@click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def hull(diagram_file, assignment, tol, as_json):
     """Test membership of atom probabilities in the classical polytope."""
     diagram = _load(diagram_file, logic.parse_diagram)
@@ -238,18 +245,6 @@ def hull(diagram_file, assignment, tol, as_json):
 # --- realizability ----------------------------------------------------------
 
 
-@main.command("realize")
-@click.argument("diagram_file")
-@click.option("--dim", required=True, type=click.IntRange(min=2),
-              help="Hilbert-space dimension.")
-@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
-@click.option("--restarts", default=20, show_default=True,
-              type=click.IntRange(min=1))
-@click.option("--complex", "complex_space", is_flag=True,
-              help="Search complex vectors (default real).")
-@click.option("-o", "outfile", default=None,
-              help="Write the found realization to this file.")
-@click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def realize(diagram_file, dim, seed, restarts, complex_space, outfile, as_json):
     """Search for unit vectors realizing a diagram's orthogonality."""
     from . import realizability
@@ -318,9 +313,6 @@ def _derivation(outcome) -> list:
             for step in outcome.derivation]
 
 
-@main.command("saturate")
-@click.argument("diagram_file")
-@click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def saturate(diagram_file, as_json):
     """Run the dimension-3 orthogonality saturation rule on a diagram."""
     from .saturation import saturate_orthogonality
@@ -334,12 +326,6 @@ def saturate(diagram_file, as_json):
     _report(as_json, payload, outcome.render() + "\n", negative=refuted)
 
 
-@main.command("render")
-@click.argument("diagram_file")
-@click.option("--style", type=click.Choice(["greechie", "tkadlec", "dot"]),
-              default="dot", show_default=True)
-@click.option("-o", "outfile", default=None, help="Write DOT text to a file.")
-@click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def render_cmd(diagram_file, style, outfile, as_json):
     """Render a diagram as DOT text."""
     diagram = _load(diagram_file, logic.parse_diagram)
@@ -352,21 +338,6 @@ def render_cmd(diagram_file, style, outfile, as_json):
 # --- uniqueness -------------------------------------------------------------
 
 
-@main.group("uniq")
-def uniq_group():
-    """Outcome-uniqueness analyses of .qs states."""
-
-
-@uniq_group.command("check")
-@click.argument("state_file")
-@click.option("--rotations", default=0, show_default=True,
-              type=click.IntRange(min=0),
-              help="Also check this many random identical local rotations.")
-@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
-@click.option("--tol", default=1e-9, show_default=True,
-              type=click.FloatRange(min=0),
-              help="Amplitudes at or below this magnitude count as zero.")
-@click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def uniq_check(state_file, rotations, seed, tol, as_json):
     """Check the outcome-uniqueness property of a state."""
     from . import states as statemod
@@ -409,10 +380,6 @@ def uniq_check(state_file, rotations, seed, tol, as_json):
 # --- state constructors -------------------------------------------------------
 
 
-@main.command("catalog")
-@click.argument("name")
-@click.option("-o", "outfile", default=None, help="Write .qs text to a file.")
-@click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def catalog(name, outfile, as_json):
     """Emit a catalog state (psi2, psi3, psi4_1..3, ghzm) as .qs text."""
     from . import states as statemod
@@ -430,10 +397,6 @@ def catalog(name, outfile, as_json):
             artefact=qs, outfile=outfile)
 
 
-@main.command("singlet")
-@click.option("--dim", required=True, type=int, help="Site dimension (2 or 3).")
-@click.option("--sites", required=True, type=int, help="Number of sites.")
-@click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def singlet(dim, sites, as_json):
     """Orthonormal basis of the total-spin-zero subspace."""
     from . import states as statemod
@@ -455,17 +418,6 @@ def singlet(dim, sites, as_json):
 # --- context operators ---------------------------------------------------------
 
 
-@main.group("context")
-def context_group():
-    """Maximal context operators."""
-
-
-@context_group.command("op")
-@click.option("--phi", required=True, type=float,
-              help="Rotation angle of the second tripod about the shared leg.")
-@click.option("--eigs", default="4,5,6", show_default=True,
-              help="Eigenvalues of the rotated context.")
-@click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def context_op(phi, eigs, as_json):
     """Operator of the phi-rotated tripod context, compared with the
     standard-basis context (eigenvalues 1,2,3)."""
@@ -487,7 +439,7 @@ def context_op(phi, eigs, as_json):
                 - ctx_rot.operator @ ctx_std.operator)
     comm_max = float(np.max(np.abs(comm)))
     if not (math.isfinite(comm_max) and np.isfinite(ctx_rot.operator).all()):
-        raise click.UsageError("result out of floating-point range")
+        raise UsageError("result out of floating-point range")
     links = contextops.link_observables(ctx_std, ctx_rot)
     payload = {
         "phi": phi,
@@ -519,10 +471,6 @@ def _read_matrix(text: str):
     return np.array(rows, dtype=complex)
 
 
-@main.command("split")
-@click.option("--matrix", "matrix_file", required=True,
-              help="Text file: one row per line, complex entries like 1+2j.")
-@click.option("--json", "as_json", is_flag=True, help="JSON output.")
 def split(matrix_file, as_json):
     """Split a square matrix A into self-adjoint components A = A1 + i A2."""
     from . import contexts as contextops
@@ -534,6 +482,145 @@ def split(matrix_file, as_json):
                    for line in (label + ":", *_matrix_lines(mat))])
     _report(as_json, {"real_part": _complex_rows(a1), "imag_part": _complex_rows(a2)},
             text)
+
+
+# --- command line ------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors read like a command's: the usage line,
+    then ``Error: <message>``, and exit 2."""
+
+    def __init__(self, **kwargs):
+        # a long option is spelled out in full: --rot is not --rotations
+        super().__init__(allow_abbrev=False, **kwargs)
+        # a value that starts like a negative number (--eigs -1,2,3,
+        # --phi -1e-3) is a value, not an unknown option
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # an unknown option is refused by the command's own parser, so the
+        # error comes under that command's usage line
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"Error: {message}\n")
+
+
+def _at_least(low, kind=int):
+    """An argparse type: ``kind`` of the option's text, refused below ``low``."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a valid {kind.__name__}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
+        return value
+    return parse
+
+
+def _command(commands, name, run):
+    """Subcommand ``name``, which calls ``run`` with its options; the help is
+    ``run``'s docstring, and every command takes ``--json``."""
+    parser = commands.add_parser(name, help=run.__doc__, description=run.__doc__)
+    parser.set_defaults(run=run, parser=parser)
+    parser.add_argument("--json", dest="as_json", action="store_true",
+                        help="JSON output.")
+    return parser
+
+
+def _group(commands, name, doc):
+    group = commands.add_parser(name, help=doc, description=doc)
+    return group.add_subparsers(metavar="COMMAND", required=True)
+
+
+DEFAULT = "[default: %(default)s]"
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="qlctx", description=(
+        "Greechie-diagram logic, Hilbert-space realizability, and "
+        "multipartite spin-state uniqueness analyses."))
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    states = _group(commands, "states", "Two-valued-state analyses of a diagram.")
+    for name, run in (("enumerate", states_enumerate), ("classify", states_classify)):
+        _command(states, name, run).add_argument("diagram_file")
+
+    p = _command(commands, "hull", hull)
+    p.add_argument("diagram_file")
+    p.add_argument("--p", dest="assignment", required=True,
+                   help="Atom probabilities, e.g. 'A=1,B=1/2'; unlisted atoms are 0.")
+    p.add_argument("--tol", default="1e-9", type=_tolerance,
+                   help="Feasibility tolerance, a decimal or a fraction. " + DEFAULT)
+
+    p = _command(commands, "realize", realize)
+    p.add_argument("diagram_file")
+    p.add_argument("--dim", required=True, type=_at_least(2),
+                   help="Hilbert-space dimension.")
+    p.add_argument("--seed", default=0, type=_at_least(0), help=DEFAULT)
+    p.add_argument("--restarts", default=20, type=_at_least(1), help=DEFAULT)
+    p.add_argument("--complex", dest="complex_space", action="store_true",
+                   help="Search complex vectors (default real).")
+    p.add_argument("-o", dest="outfile",
+                   help="Write the found realization to this file.")
+
+    _command(commands, "saturate", saturate).add_argument("diagram_file")
+
+    p = _command(commands, "render", render_cmd)
+    p.add_argument("diagram_file")
+    p.add_argument("--style", choices=["greechie", "tkadlec", "dot"], default="dot",
+                   help=DEFAULT)
+    p.add_argument("-o", dest="outfile", help="Write DOT text to a file.")
+
+    p = _command(_group(commands, "uniq", "Outcome-uniqueness analyses of .qs states."),
+                 "check", uniq_check)
+    p.add_argument("state_file")
+    p.add_argument("--rotations", default=0, type=_at_least(0),
+                   help="Also check this many random identical local rotations. "
+                   + DEFAULT)
+    p.add_argument("--seed", default=0, type=_at_least(0), help=DEFAULT)
+    p.add_argument("--tol", default=1e-9, type=_at_least(0, float),
+                   help="Amplitudes at or below this magnitude count as zero. "
+                   + DEFAULT)
+
+    p = _command(commands, "catalog", catalog)
+    p.add_argument("name")
+    p.add_argument("-o", dest="outfile", help="Write .qs text to a file.")
+
+    p = _command(commands, "singlet", singlet)
+    p.add_argument("--dim", required=True, type=int, help="Site dimension (2 or 3).")
+    p.add_argument("--sites", required=True, type=int, help="Number of sites.")
+
+    p = _command(_group(commands, "context", "Maximal context operators."),
+                 "op", context_op)
+    p.add_argument("--phi", required=True, type=float,
+                   help="Rotation angle of the second tripod about the shared leg.")
+    p.add_argument("--eigs", default="4,5,6",
+                   help="Eigenvalues of the rotated context. " + DEFAULT)
+
+    p = _command(commands, "split", split)
+    p.add_argument("--matrix", dest="matrix_file", required=True,
+                   help="Text file: one row per line, complex entries like 1+2j.")
+    return parser
+
+
+def main(argv=None) -> None:
+    """Run the command line on ``argv`` (default ``sys.argv[1:]``).  Returns
+    when the analysis completes; exits 1 on a negative verdict and 2 on a
+    usage or input error."""
+    options = vars(_parser().parse_args(argv))
+    run, parser = options.pop("run"), options.pop("parser")
+    try:
+        run(**options)
+    except UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,14 +1,17 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from qlctx import corpus
 from qlctx.cli import main
@@ -19,8 +22,35 @@ GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+class _Tee(io.StringIO):
+    """A stream that also writes everything into ``both``."""
+
+    def __init__(self, both):
+        super().__init__()
+        self.both = both
+
+    def write(self, text):
+        self.both.write(text)
+        return super().write(text)
+
+
 def run(*args):
-    return CliRunner().invoke(main, [str(a) for a in args])
+    """``main`` on ``args`` in this process: its exit code, ``stdout``,
+    ``output`` (stdout and stderr in write order) and the ``exception`` that
+    ended it (a SystemExit for a clean exit; any other one is exit code 1)."""
+    both = io.StringIO()
+    out, err = _Tee(both), _Tee(both)
+    code, exception = 0, None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            main([str(a) for a in args])
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+            exception = exc
+        except Exception as exc:
+            code, exception = 1, exc
+    return SimpleNamespace(exit_code=code, stdout=out.getvalue(),
+                           output=both.getvalue(), exception=exception)
 
 
 def check_golden(name, text):
@@ -438,7 +468,7 @@ class TestUsageErrors:
 
 
 def assert_usage_error(result, message):
-    # a usage error exits 2 through click; a traceback would leave the
+    # a usage error exits 2 through SystemExit; a traceback would leave the
     # exception itself on the result with exit code 1
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
@@ -626,11 +656,32 @@ class TestBadInputExits2:
         result = run("split", "--matrix", mat)
         assert result.exit_code == 0
         assert "inf" not in result.output and "nan" not in result.output
+        # a part from 1e15 on is printed in exponent form, not as a
+        # 309-digit integer
+        a1_row = result.output.splitlines()[1]
+        assert a1_row.split() == ["1.000000000000e+308+0.000000000000j"] * 2
         result = run("split", "--matrix", mat, "--json")
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["real_part"] == [[[1e308, 0.0]] * 2] * 2
         assert payload["imag_part"] == [[[0.0, 0.0]] * 2] * 2
+
+    def test_matrix_text_switches_to_exponent_form_at_1e15(self, tmp_path):
+        mat = tmp_path / "matrix.txt"
+        mat.write_text("999999999999999 1e15\n1e15 -1e15\n")
+        result = run("split", "--matrix", mat)
+        assert result.exit_code == 0
+        assert result.output.splitlines()[1:3] == [
+            "   999999999999999.000000000000+0.000000000000j"
+            "   1.000000000000e+15+0.000000000000j",
+            "   1.000000000000e+15+0.000000000000j"
+            "  -1.000000000000e+15+0.000000000000j"]
+        result = run("context", "op", "--phi", "0.5", "--eigs", "1e300,2,3")
+        assert result.exit_code == 0
+        rows = result.output.splitlines()[1:4]
+        assert all(len(row) < 120 for row in rows)
+        assert rows[0].split()[:2] == ["7.701511529341e+299+0.000000000000j",
+                                       "4.207354924039e+299+0.000000000000j"]
 
     @pytest.mark.parametrize("args", [
         ("states", "enumerate", "{}"), ("states", "classify", "{}"),
@@ -658,6 +709,11 @@ class TestBadInputExits2:
             capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert '"α" -- "β";' in out.read_bytes().decode("utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlctx.cli", "states", "enumerate", str(gd)],
+            capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode("utf-8").startswith("atoms: α β γ\n")
 
     def test_catalog_unwritable_output(self, tmp_path):
         out = tmp_path / "missing" / "psi2.qs"
@@ -697,6 +753,14 @@ EXIT_CONTRACT = [
 ]
 
 
+def _contract_args(args, folder):
+    """An ``EXIT_CONTRACT`` row's arguments, run in ``folder``: writes the
+    files the rows name and resolves ``@name`` to a corpus file."""
+    (folder / "cycle.gd").write_text("context a b\ncontext b c\ncontext c a\n")
+    (folder / "matrix.txt").write_text("1+2j 3\n0 4j\n")
+    return [str(corpus.data_path(a[1:])) if a.startswith("@") else a for a in args]
+
+
 class TestExitContract:
     """Text and --json give the same exit code; --json prints JSON or, on
     a usage error, nothing on stdout.  ``@name`` is a corpus file."""
@@ -705,9 +769,7 @@ class TestExitContract:
                              ids=[" ".join(a) for a, _ in EXIT_CONTRACT])
     def test_text_and_json_agree(self, tmp_path, monkeypatch, args, code):
         monkeypatch.chdir(tmp_path)
-        Path("cycle.gd").write_text("context a b\ncontext b c\ncontext c a\n")
-        Path("matrix.txt").write_text("1+2j 3\n0 4j\n")
-        args = [corpus.data_path(a[1:]) if a.startswith("@") else a for a in args]
+        args = _contract_args(args, tmp_path)
         text, as_json = run(*args), run(*args, "--json")
         assert text.exit_code == as_json.exit_code == code
         if code == 2:
@@ -716,16 +778,18 @@ class TestExitContract:
             json.loads(as_json.stdout)
 
 
-def _python(code):
+def _python(code, cwd=None):
     """``code`` run in a new interpreter that finds the package."""
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+                          text=True, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
 
 
 def _heavy_modules_after(code):
-    """numpy and scipy, if loaded by running ``code`` in a new interpreter."""
-    probe = (code + "\nimport sys\nprint(' '.join(m for m in ('numpy', 'scipy')"
-             " if m in sys.modules), file=sys.stderr)")
+    """numpy, scipy and click, if loaded by running ``code`` in a new
+    interpreter."""
+    probe = (code + "\nimport sys\nprint(' '.join(m for m in ('numpy', 'scipy',"
+             " 'click') if m in sys.modules), file=sys.stderr)")
     proc = _python(probe)
     proc.check_returncode()
     return proc.stderr.split()
@@ -733,12 +797,12 @@ def _heavy_modules_after(code):
 
 class TestLeanImports:
     def test_cli_import_leaves_out_scipy(self):
-        assert "scipy" not in _heavy_modules_after("import qlctx.cli")
+        loaded = _heavy_modules_after("import qlctx.cli")
+        assert "scipy" not in loaded and "click" not in loaded
 
     def test_enumerate_leaves_out_numpy_and_scipy(self):
         code = ("from qlctx.cli import main\n"
-                f"main(['states', 'enumerate', {str(corpus.data_path('fig1'))!r}],"
-                " standalone_mode=False)")
+                f"main(['states', 'enumerate', {str(corpus.data_path('fig1'))!r}])")
         assert _heavy_modules_after(code) == []
 
     def test_corpus_diagram_leaves_out_numpy_and_scipy(self):
@@ -747,14 +811,13 @@ class TestLeanImports:
 
     def test_saturate_leaves_out_numpy_and_scipy(self):
         code = ("from qlctx.cli import main\n"
-                f"main(['saturate', {str(corpus.data_path('fig2a'))!r}],"
-                " standalone_mode=False)")
+                f"main(['saturate', {str(corpus.data_path('fig2a'))!r}])")
         assert _heavy_modules_after(code) == []
 
     def test_realize_leaves_out_scipy(self):
         code = ("from qlctx.cli import main\n"
                 f"main(['realize', {str(corpus.data_path('fig2a'))!r}, '--dim', '3',"
-                " '--restarts', '2', '--json'], standalone_mode=False)")
+                " '--restarts', '2', '--json'])")
         assert _heavy_modules_after(code) == []
 
     def test_realizability_import_leaves_out_numpy(self):
@@ -764,7 +827,7 @@ class TestLeanImports:
         # fig1 in dimension 4 is neither refuted nor propagated: L-BFGS runs
         code = ("from qlctx.cli import main\n"
                 f"main(['realize', {str(corpus.data_path('fig1'))!r}, '--dim', '4',"
-                " '--restarts', '2', '--json'], standalone_mode=False)")
+                " '--restarts', '2', '--json'])")
         proc = _python(code + "\nimport sys\nprint('numpy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         payload, loaded = proc.stdout.rsplit("\n", 2)[:2]
@@ -814,3 +877,98 @@ class TestLeanImports:
             proc = _python(code)
             assert proc.returncode == 0, proc.stderr
             assert json.loads(proc.stdout)["success"] is True
+
+    def test_cli_runs_with_click_unimportable(self, tmp_path):
+        rows = [_contract_args(args, tmp_path) for args, _ in EXIT_CONTRACT]
+        code = ("import io, json, sys\n"
+                "from contextlib import redirect_stderr, redirect_stdout\n"
+                "sys.modules['click'] = None\n"
+                "from qlctx.cli import main\n"
+                "codes = []\n"
+                f"for args in {rows!r}:\n"
+                "    with redirect_stdout(io.StringIO()), \\\n"
+                "            redirect_stderr(io.StringIO()):\n"
+                "        try:\n"
+                "            main(args)\n"
+                "            codes.append(0)\n"
+                "        except SystemExit as exc:\n"
+                "            codes.append(exc.code)\n"
+                "print(json.dumps(codes))")
+        proc = _python(code, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [want for _, want in EXIT_CONTRACT]
+
+
+# every option and subcommand that ``-h`` must name, by command
+HELP = {
+    (): ("states", "hull", "realize", "saturate", "render", "uniq", "catalog",
+         "singlet", "context", "split"),
+    ("states",): ("enumerate", "classify"),
+    ("states", "enumerate"): ("--json",),
+    ("states", "classify"): ("--json",),
+    ("hull",): ("--p", "--tol", "--json"),
+    ("realize",): ("--dim", "--seed", "--restarts", "--complex", "-o", "--json"),
+    ("saturate",): ("--json",),
+    ("render",): ("--style", "-o", "--json"),
+    ("uniq",): ("check",),
+    ("uniq", "check"): ("--rotations", "--seed", "--tol", "--json"),
+    ("catalog",): ("-o", "--json"),
+    ("singlet",): ("--dim", "--sites", "--json"),
+    ("context",): ("op",),
+    ("context", "op"): ("--phi", "--eigs", "--json"),
+    ("split",): ("--matrix", "--json"),
+}
+
+
+class TestHelpAndParseErrors:
+    @pytest.mark.parametrize("command", HELP, ids=lambda c: " ".join(c) or "qlctx")
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_names_every_option(self, command, flag):
+        result = run(*command, flag)
+        assert result.exit_code == 0
+        assert result.output == result.stdout
+        assert result.stdout.startswith(" ".join(("usage: qlctx", *command)))
+        for name in HELP[command]:
+            assert re.search(rf"^ +{re.escape(name)}\b", result.stdout, re.M), name
+
+    @pytest.mark.parametrize("args,named", [
+        (("frobnicate",), "'frobnicate'"),
+        (("states", "enumerate", "@fig1", "--bogus"), "--bogus"),
+        (("realize", "@fig1"), "--dim"),
+        (("realize", "@fig1", "--dim", "3", "--restarts", "x"), "--restarts"),
+        (("singlet", "--dim", "3", "--sites", "two"), "--sites"),
+        (("render", "@fig1", "--style", "svg"), "--style"),
+    ])
+    def test_parse_error_names_the_option(self, tmp_path, args, named):
+        result = run(*_contract_args(args, tmp_path))
+        assert_usage_error(result, named)
+        assert result.stdout == ""
+        lines = result.output.splitlines()
+        assert lines[0].startswith("usage: qlctx")
+        assert [line for line in lines if line.startswith("Error:")] == [lines[-1]]
+        assert named in lines[-1]
+
+    def test_values_may_start_with_a_minus(self):
+        result = run("context", "op", "--phi", "-1e-3", "--eigs", "-1,2,3", "--json")
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["phi"] == -1e-3 and payload["eigenvalues"] == [-1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("lines_read", [0, 1])
+    def test_reader_closing_stdout_early(self, tmp_path, lines_read):
+        # a 20-tripod chain has 28,657 states, far more text than a pipe
+        # holds: the reader is gone before the report is written (0) or
+        # while it is being written (1); neither is an error
+        gd = tmp_path / "chain.gd"
+        gd.write_text("".join(f"context c{i} m{i} c{i + 1}\n" for i in range(20)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qlctx.cli", "states", "enumerate", str(gd)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        for _ in range(lines_read):
+            assert proc.stdout.readline().startswith(b"atoms: c0 m0 c1")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert stderr == b""
