@@ -67,20 +67,19 @@ def value_and_grad(x, n, width, orth_mask, offdiag, t2, complex_space):
     return penalty, gx.reshape(len(x), -1)
 
 
-# L-BFGS: the memory and line-search constants are the defaults of
-# L-BFGS-B (Byrd, Lu, Nocedal and Zhu 1995) and of its Moré-Thuente line
-# search; the iteration, evaluation and stopping limits are the ones this
-# search has always run with.  The FTOL test is L-BFGS-B's factr test
-# without its absolute floor of 1, so a witness's penalty falls to ~1e-27.
+# L-BFGS: MEMORY is L-BFGS-B's default (Byrd, Lu, Nocedal and Zhu 1995) and
+# SUFFICIENT_DECREASE its Armijo constant, here in a backtracking line search
+# (Nocedal and Wright, Numerical Optimization, ch. 3); the iteration,
+# evaluation and stopping limits are the ones this search has always run
+# with.  The FTOL test is L-BFGS-B's factr test without its absolute floor
+# of 1, so a witness's penalty falls to ~1e-27.
 MEMORY = 10
 MAXITER = 2000
 MAXFUN = 5000
 FTOL = 1e-18
 GTOL = 1e-14
-WOLFE_C1 = 1e-3
-WOLFE_C2 = 0.9
+SUFFICIENT_DECREASE = 1e-3
 LINE_SEARCH_EVALS = 20
-NARROW_BRACKET = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,69 +93,24 @@ class Minimum:
     nfev: int
 
 
-def _cubic_step(a, fa, ga, b, fb, gb):
-    """Minimizer of the cubic matching values and slopes at a and b, or
-    None when that cubic has no minimizer."""
-    d1 = ga + gb - 3.0 * (fa - fb) / (a - b)
-    disc = d1 * d1 - ga * gb
-    if disc < 0.0:
-        return None
-    d2 = math.copysign(math.sqrt(disc), b - a)
-    denom = gb - ga + 2.0 * d2
-    if denom == 0.0:
-        return None
-    return b - (b - a) * (gb + d2 - d1) / denom
-
-
 def _line_search(x, f0, g0, d, step):
-    """Strong Wolfe search along ``d`` from trial step ``step``, as a
-    generator: it yields each trial point and is sent its (f, grad).
+    """Backtracking (Armijo) search along ``d`` from trial step ``step``, as
+    a generator: it yields each trial point and is sent its (f, grad).
 
-    Returns (x, f, g, evaluations), with x None when no step was accepted
-    within LINE_SEARCH_EVALS evaluations.  The bracket runs between the
-    best step with sufficient decrease so far (0 until there is one) and a
-    step known to lie beyond a minimizer; a non-finite value counts as a
-    step that is too long.  Trials come from cubic interpolation, safeguarded
-    by bisection, and when the bracket is narrower than NARROW_BRACKET of
-    its upper end the best step is accepted, as Moré and Thuente's
-    ``xtol`` exit does: on the hinge's kinks the curvature condition may
-    never hold.
+    The first trial whose value and gradient are finite and whose value is
+    at most f0 + SUFFICIENT_DECREASE * t * (g0 . d) is accepted; otherwise
+    the step is halved.  Returns (x, f, g, evaluations), with x None when
+    no step was accepted within LINE_SEARCH_EVALS evaluations.
     """
     dg0 = float(g0 @ d)
-    bt, bf, bdg, best = 0.0, f0, dg0, None
-    far = None  # (step, value, slope); value None when not finite
     t = step
     for evals in range(1, LINE_SEARCH_EVALS + 1):
         xt = x + t * d
         ft, gt = yield xt
-        prev = (bt, bf, bdg)
-        if not (math.isfinite(ft) and np.isfinite(gt).all()):
-            far = (t, None, None)
-        else:
-            dgt = float(gt @ d)
-            if ft > f0 + WOLFE_C1 * t * dg0 or ft >= bf:
-                far = (t, ft, dgt)
-            else:
-                if abs(dgt) <= -WOLFE_C2 * dg0:
-                    return xt, ft, gt, evals
-                if dgt * (bt - t) < 0.0:
-                    # the slope turned: a minimizer lies back toward bt
-                    far = prev
-                bt, bf, bdg, best = t, ft, dgt, (xt, ft, gt)
-        if far is None:
-            # still descending: extrapolate by between 1.1 and 4 times the
-            # last advance
-            lo, hi = t + 1.1 * (t - prev[0]), t + 4.0 * (t - prev[0])
-            c = _cubic_step(*prev, t, bf, bdg)
-            t = hi if c is None else min(max(c, lo), hi)
-            continue
-        lo, hi = sorted((bt, far[0]))
-        if best is not None and hi - lo <= NARROW_BRACKET * hi:
-            return (*best, evals)
-        c = None if far[1] is None else _cubic_step(bt, bf, bdg, *far)
-        guard = 0.1 * (hi - lo)
-        inside = c is not None and lo + guard <= c <= hi - guard
-        t = c if inside else 0.5 * (lo + hi)
+        if (math.isfinite(ft) and ft <= f0 + SUFFICIENT_DECREASE * t * dg0
+                and np.isfinite(gt).all()):
+            return xt, ft, gt, evals
+        t *= 0.5
     return None, f0, g0, LINE_SEARCH_EVALS
 
 
@@ -194,10 +148,7 @@ def _lbfgs(x):
         x_new, f_new, g_new, evals = yield from _line_search(x, f, g, d, step)
         nfev += evals
         if x_new is None:
-            if not pairs:
-                break
-            pairs.clear()
-            continue
+            break
         nit += 1
         s, y = x_new - x, g_new - g
         sy = float(s @ y)
@@ -216,15 +167,13 @@ def minimize(fun, x0, args=()) -> Minimum:
     ``fun(X, *args) -> (f, grad)`` evaluates stacked points X (K, N),
     returning values (K,) and gradients (K, N).  Each row runs its own
     limited-memory BFGS (Liu and Nocedal 1989) with MEMORY pairs and a
-    strong Wolfe line search (see ``_line_search``); every step, the points
+    backtracking line search (see ``_line_search``); every step, the points
     all running rows wait on are evaluated in one call of ``fun``, and a
     row leaves the batch when it stops.  The first trial step has length
-    1; later ones are the full quasi-Newton step.  When a line search
-    accepts no step, the memory is dropped and steepest descent is tried
-    once more; if that fails too, the row stops.  It also stops after
-    MAXITER iterations, once MAXFUN evaluations are spent, when an
-    iteration lowers f by at most FTOL * max(|f|, |f_new|), or when
-    max |grad| <= GTOL.
+    1; later ones are the full quasi-Newton step.  A row stops when a line
+    search accepts no step, after MAXITER iterations, once MAXFUN
+    evaluations are spent, when an iteration lowers f by at most
+    FTOL * max(|f|, |f_new|), or when max |grad| <= GTOL.
 
     The result's ``x`` (R, N) and ``fun`` (R,) hold every row's end point;
     its ``nit`` and ``nfev`` are totals over the rows.
@@ -236,8 +185,8 @@ def minimize(fun, x0, args=()) -> Minimum:
     ends: list = [None] * len(runs)
     points = [next(run) for run in runs]
     live = list(range(len(runs)))
-    # a zero row of the search's x divides by its norm; the NaN that gives
-    # is handled by the line search as a step too long
+    # a zero row of the search's x divides by its norm; the line search
+    # refuses the NaN that gives and halves the step
     with np.errstate(invalid="ignore", divide="ignore"):
         while live:
             f, g = fun(np.stack([points[i] for i in live]), *args)

@@ -512,10 +512,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _at_least(low, kind=int):
-    """An argparse type: ``kind`` of the option's text, refused below ``low``."""
+    """An argparse type: ``kind`` of the option's text, refused when NaN or
+    below ``low``."""
     def parse(text: str):
         try:
             value = kind(text)
+            if value != value:  # NaN passes every comparison with low
+                raise ValueError
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"{text!r} is not a valid {kind.__name__}") from None

@@ -387,7 +387,7 @@ def _exact_violations(vecs, pairs, others, margin) -> list:
 def born_probabilities(realization: Realization, psi) -> dict[str, float]:
     """P(atom) = |<v_atom, psi>|^2 for a unit state psi."""
     psi = _finite_vector(psi, "state vector")
-    if abs(_norm(psi) - 1.0) > 1e-9:
+    if abs(_norm(psi) - 1.0) > VERIFY_TOLERANCE:
         raise ValueError("state vector must be normalized")
     out = {}
     for atom, v in realization.vectors.items():

@@ -528,6 +528,11 @@ class TestBadInputExits2:
         result = run("uniq", "check", corpus.data_path("psi2"), "--tol", "-1")
         assert_usage_error(result, "--tol")
 
+    def test_uniq_nan_tol(self):
+        # NaN passes a range check, since nan < 0 is False
+        result = run("uniq", "check", corpus.data_path("psi2"), "--tol", "nan")
+        assert_usage_error(result, "argument --tol: 'nan' is not a valid float")
+
     def test_hull_repeated_atom(self):
         # keeping the last value would give a verdict on an input never given
         result = run("hull", corpus.data_path("fig1"), "--p", "A=1,A=0")

@@ -19,6 +19,8 @@ from qlctx._numerical import (
     MAXFUN,
     MAXITER,
     MEMORY,
+    _lbfgs,
+    _line_search,
     value_and_grad,
 )
 from qlctx.logic import make_diagram
@@ -518,7 +520,62 @@ class TestExactStage:
         assert integer_witness(d, 0.99) is None
 
 
+def drive(run, fun):
+    """Run a line-search or L-BFGS generator by hand, sending ``fun``'s
+    (f, grad) at each trial point: the trial points and the return value."""
+    trials = [next(run)]
+    while True:
+        try:
+            trials.append(run.send(fun(trials[-1])))
+        except StopIteration as stop:
+            return trials, stop.value
+
+
 class TestMinimize:
+    def test_line_search_halves_until_sufficient_decrease(self):
+        def fun(x):
+            return float((x[0] - 1.0) ** 2), 2.0 * (x - 1.0)
+
+        x0 = np.zeros(1)
+        trials, (x, f, g, evals) = drive(
+            _line_search(x0, *fun(x0), np.ones(1), 4.0), fun)
+        assert [t[0] for t in trials] == [4.0, 2.0, 1.0]
+        assert x[0] == 1.0 and f == 0.0 and g[0] == 0.0
+        assert evals == 3
+
+    def test_line_search_refuses_nan_and_gives_up_on_ascent(self):
+        # f = x^2, NaN for x < 0
+        def fun(x):
+            return (math.nan if x[0] < 0 else float(x[0] ** 2)), 2.0 * x
+
+        x0 = np.ones(1)
+        f0, g0 = fun(x0)
+        trials, (x, f, g, evals) = drive(
+            _line_search(x0, f0, g0, -np.ones(1), 4.0), fun)
+        assert [t[0] for t in trials] == [-3.0, -1.0, 0.0]
+        assert x[0] == 0.0 and evals == 3
+
+        trials, (x, f, g, evals) = drive(
+            _line_search(x0, f0, g0, np.ones(1), 1.0), fun)
+        assert x is None and f == f0 and g is g0
+        assert evals == len(trials) == LINE_SEARCH_EVALS
+        assert [t[0] for t in trials[:3]] == [2.0, 1.5, 1.25]
+
+    def test_failed_line_search_ends_the_run(self):
+        # the first step is accepted; every later trial is refused
+        evaluated = []
+
+        def fun(x):
+            evaluated.append(x)
+            return (float(x @ x) if len(evaluated) <= 2 else math.inf), 2.0 * x
+
+        trials, (x, f, nit, nfev) = drive(_lbfgs(np.array([1.0, 2.0])), fun)
+        # the start, the accepted step and one failed line search: no
+        # steepest-descent trial follows
+        assert nit == 1 and nfev == 2 + LINE_SEARCH_EVALS == len(trials)
+        assert np.array_equal(x, trials[1])
+        assert f == float(x @ x) < 5.0
+
     def test_convex_quadratic_reaches_minimizer(self):
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
