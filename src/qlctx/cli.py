@@ -10,11 +10,14 @@ text and sets the exit code.  The front end is the standard library's
 ``argparse``: ``main`` builds the parser tree, runs the chosen command and
 turns a ``UsageError`` into the usage line, ``Error: <message>`` and exit 2.
 
-Only ``logic`` and ``_text`` (pure Python) are imported here; numpy and the
-other engine modules are imported inside the commands that use them, so a
-command pays start-up only for what it runs.  ``realize`` loads numpy only
-when its search reaches the numerical stage: a diagram refuted by a proof
-or realized by an integer witness runs in pure Python.
+Only ``_text`` (pure Python) and the standard library are imported here.
+``logic`` and ``fractions`` are imported by the commands that read a
+diagram or a probability, numpy and the other engine modules by the
+commands that use them, so a command pays start-up only for what it runs.
+``context op`` and ``split`` run on the pure-Python ``contexts`` and load
+neither numpy nor ``logic``.  ``realize`` loads numpy only when its search
+reaches the numerical stage: a diagram refuted by a proof or realized by an
+integer witness runs in pure Python.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from pathlib import Path
 
-from . import _text, logic
+from . import _text
 
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
@@ -112,11 +114,14 @@ def _lines(lines) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _complex_rows(array) -> list:
-    """A complex array as nested lists with [re, im] in place of each entry."""
-    import numpy as np
+def _complex_rows(matrix) -> list:
+    """A complex matrix as nested lists with [re, im] in place of each entry."""
+    return [[[z.real, z.imag] for z in row] for row in matrix]
 
-    return np.stack([array.real, array.imag], -1).tolist()
+
+def _all_finite(matrix) -> bool:
+    return all(math.isfinite(z.real) and math.isfinite(z.imag)
+               for row in matrix for z in row)
 
 
 def _matrix_part(x: float, sign: str) -> str:
@@ -141,6 +146,8 @@ def _terms_payload(psi) -> list:
 
 def states_enumerate(diagram_file, as_json):
     """Enumerate all two-valued states of a .gd diagram."""
+    from . import logic
+
     diagram = _load(diagram_file, logic.parse_diagram)
     with _usage_errors(diagram_file):
         sts = logic.two_valued_states(diagram)
@@ -155,6 +162,8 @@ def states_enumerate(diagram_file, as_json):
 
 def states_classify(diagram_file, as_json):
     """Classify the two-valued state set of a .gd diagram."""
+    from . import logic
+
     diagram = _load(diagram_file, logic.parse_diagram)
     with _usage_errors(diagram_file):
         result = logic.classify(diagram)
@@ -178,6 +187,8 @@ def states_classify(diagram_file, as_json):
 
 
 def _parse_assignment(text: str) -> dict:
+    from fractions import Fraction
+
     out = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -198,9 +209,11 @@ def _parse_assignment(text: str) -> dict:
     return out
 
 
-def _tolerance(text: str) -> Fraction:
-    # a decimal string is read exactly: 1e-9 is 1/10**9, not the float's
-    # binary value, so band weights keep short denominators
+def _tolerance(text: str):
+    # a decimal string is read exactly as a Fraction: 1e-9 is 1/10**9, not
+    # the float's binary value, so band weights keep short denominators
+    from fractions import Fraction
+
     try:
         tol = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -212,6 +225,8 @@ def _tolerance(text: str) -> Fraction:
 
 def hull(diagram_file, assignment, tol, as_json):
     """Test membership of atom probabilities in the classical polytope."""
+    from . import logic
+
     diagram = _load(diagram_file, logic.parse_diagram)
     p = _parse_assignment(assignment)
     with _usage_errors():
@@ -247,7 +262,7 @@ def hull(diagram_file, assignment, tol, as_json):
 
 def realize(diagram_file, dim, seed, restarts, complex_space, outfile, as_json):
     """Search for unit vectors realizing a diagram's orthogonality."""
-    from . import realizability
+    from . import logic, realizability
 
     diagram = _load(diagram_file, logic.parse_diagram)
     with _usage_errors():
@@ -315,6 +330,7 @@ def _derivation(outcome) -> list:
 
 def saturate(diagram_file, as_json):
     """Run the dimension-3 orthogonality saturation rule on a diagram."""
+    from . import logic
     from .saturation import saturate_orthogonality
 
     diagram = _load(diagram_file, logic.parse_diagram)
@@ -328,6 +344,8 @@ def saturate(diagram_file, as_json):
 
 def render_cmd(diagram_file, style, outfile, as_json):
     """Render a diagram as DOT text."""
+    from . import logic
+
     diagram = _load(diagram_file, logic.parse_diagram)
     with _usage_errors():
         dot = logic.render(diagram, style)
@@ -421,8 +439,6 @@ def singlet(dim, sites, as_json):
 def context_op(phi, eigs, as_json):
     """Operator of the phi-rotated tripod context, compared with the
     standard-basis context (eigenvalues 1,2,3)."""
-    import numpy as np
-
     from . import contexts as contextops
 
     with _usage_errors("--phi"):
@@ -430,15 +446,16 @@ def context_op(phi, eigs, as_json):
     with _usage_errors("--eigs"):
         eig_values = tuple(_text.finite(x) for x in eigs.split(","))
     standard, rotated = contextops.two_tripod_bases(phi)
-    # finite eigenvalues near the float limit can overflow the operator or
-    # the commutator; that is refused below, in text and JSON alike
-    with _usage_errors(), np.errstate(over="ignore", invalid="ignore"):
+    with _usage_errors():
         ctx_rot = contextops.context_operator(rotated, eig_values)
         ctx_std = contextops.context_operator(standard, (1.0, 2.0, 3.0))
-        comm = (ctx_std.operator @ ctx_rot.operator
-                - ctx_rot.operator @ ctx_std.operator)
-    comm_max = float(np.max(np.abs(comm)))
-    if not (math.isfinite(comm_max) and np.isfinite(ctx_rot.operator).all()):
+    comm = contextops.commutator(ctx_std.operator, ctx_rot.operator)
+    # finite eigenvalues near the float limit can overflow the operator or
+    # the commutator into inf or nan (which max would skip), or the largest
+    # magnitude into inf; that is refused, in text and JSON alike
+    comm_max = max(math.hypot(z.real, z.imag) for row in comm for z in row)
+    if not (math.isfinite(comm_max) and _all_finite(ctx_rot.operator)
+            and _all_finite(comm)):
         raise UsageError("result out of floating-point range")
     links = contextops.link_observables(ctx_std, ctx_rot)
     payload = {
@@ -456,10 +473,8 @@ def context_op(phi, eigs, as_json):
     _report(as_json, payload, text)
 
 
-def _read_matrix(text: str):
-    """A square complex matrix, one row per line."""
-    import numpy as np
-
+def _read_matrix(text: str) -> list:
+    """A square complex matrix, one row per line, as its list of rows."""
     rows = []
     for lineno, tokens in _text.lines(text):
         try:
@@ -468,7 +483,7 @@ def _read_matrix(text: str):
             raise ValueError(f"line {lineno}: {exc}") from None
     if not rows or any(len(r) != len(rows) for r in rows):
         raise ValueError("expected a square matrix")
-    return np.array(rows, dtype=complex)
+    return rows
 
 
 def split(matrix_file, as_json):

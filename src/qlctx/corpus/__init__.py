@@ -1,15 +1,14 @@
 """Bundled machine-readable diagrams and reference states.
 
-Loading a diagram needs only the pure-Python ``logic`` module; the numpy
-state reader is imported when a state entry is loaded.
+Importing this module loads neither ``logic`` nor numpy: the pure-Python
+diagram parser is imported when a diagram entry is loaded, and the numpy
+state reader when a state entry is loaded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-
-from ..logic import parse_diagram
 
 
 @dataclass(frozen=True)
@@ -94,6 +93,8 @@ def load(entry_id: str):
     entry, data = _data(entry_id)
     text = data.read_text(encoding="utf-8")
     if entry.kind == "diagram":
+        from ..logic import parse_diagram
+
         return parse_diagram(text)
     from ..states import read_qs
 

@@ -1,4 +1,4 @@
-"""Small dense linear-algebra helpers shared by the package: dyads, the
+"""Small dense linear-algebra helpers for the spin-state layer: the
 unitarity defect, kernels, spin matrices and spin-rotation unitaries.
 
 Everything operates on plain numpy arrays and is pure: inputs are never
@@ -13,21 +13,8 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
-def as_complex(a) -> np.ndarray:
-    return np.asarray(a, dtype=complex)
-
-
-def dyad(v) -> np.ndarray:
-    """Rank-1 orthogonal projector v v†/‖v‖² onto the ray spanned by v."""
-    v = as_complex(v).reshape(-1)
-    n2 = float(np.vdot(v, v).real)
-    if n2 == 0.0 or not np.isfinite(n2):
-        raise ValueError("dyad of a zero vector")
-    return np.outer(v, v.conj()) / n2
-
-
 def unitarity_defect(u) -> float:
-    u = as_complex(u)
+    u = np.asarray(u, dtype=complex)
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 

@@ -5,8 +5,9 @@ None of this has a caller in the product: the exhaustive enumeration
 oracle, the frozenset backtracker that the bitmask enumeration replaced,
 the random-diagram generator, the diagram families with closed-form
 state counts, the saturation scan, an exact check of integer witnesses,
-scipy's L-BFGS-B that the realization search replaced, and spin states
-built from label words.
+scipy's L-BFGS-B that the realization search replaced, spin states built
+from label words, and the numpy context operators that the pure-Python
+``contexts`` module replaced.
 """
 
 from __future__ import annotations
@@ -249,3 +250,35 @@ def scipy_minimize(fun, x0, args=()):
     return lbfgs.Minimum(np.array([e.x for e in ends]),
                          np.array([e.fun for e in ends]),
                          sum(e.nit for e in ends), sum(e.nfev for e in ends))
+
+
+def as_complex(a) -> np.ndarray:
+    return np.asarray(a, dtype=complex)
+
+
+def dyad(v) -> np.ndarray:
+    """Rank-1 orthogonal projector v v†/‖v‖² onto the ray spanned by v."""
+    v = as_complex(v).reshape(-1)
+    n2 = float(np.vdot(v, v).real)
+    if n2 == 0.0 or not np.isfinite(n2):
+        raise ValueError("dyad of a zero vector")
+    return np.outer(v, v.conj()) / n2
+
+
+def reference_context_operator(basis, eigenvalues) -> np.ndarray:
+    """sum_i e_i |b_i><b_i| over the rows b_i of ``basis``, in numpy."""
+    return sum(e * dyad(v) for e, v in zip(eigenvalues, as_complex(basis)))
+
+
+def reference_link_observables(basis1, basis2, tol: float = 1e-9):
+    """(i, j, projector) for every pair of rows with overlap magnitude at
+    least 1 - tol, in numpy."""
+    b1, b2 = as_complex(basis1), as_complex(basis2)
+    return [(i, j, dyad(u)) for i, u in enumerate(b1) for j, w in enumerate(b2)
+            if abs(complex(np.vdot(u, w))) >= 1.0 - tol]
+
+
+def reference_split_selfadjoint(a) -> tuple[np.ndarray, np.ndarray]:
+    """A/2 + A†/2 and -i(A/2 - A†/2), in numpy."""
+    half = as_complex(a) / 2.0
+    return half + half.conj().T, (half - half.conj().T) / 1j

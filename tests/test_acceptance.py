@@ -12,7 +12,6 @@ import numpy as np
 
 from qlctx import corpus, realizability
 from qlctx.contexts import context_operator, two_tripod_bases
-from qlctx.linalg import dyad
 from qlctx.logic import classify, hull_membership, two_valued_states
 from qlctx.realizability import (
     DISTINCTNESS_MARGIN,
@@ -25,7 +24,7 @@ from qlctx.realizability import (
 from qlctx.states import catalog_state, is_form_invariant, singlet_subspace
 from qlctx.uniqueness import check_uniqueness, check_uniqueness_rotated
 
-from oracles import oracle_two_valued, random_diagram
+from oracles import dyad, oracle_two_valued, random_diagram
 
 
 @contextmanager
@@ -173,11 +172,11 @@ def test_criterion_08_rotated_context_operator():
         )
         assert np.max(np.abs(ctx_rot.operator - reference)) < 1e-12
         ctx_std = context_operator(standard, (1.0, 2.0, 3.0))
-        comm = (ctx_std.operator @ ctx_rot.operator
-                - ctx_rot.operator @ ctx_std.operator)
+        op_std, op_rot = np.asarray(ctx_std.operator), np.asarray(ctx_rot.operator)
+        comm = op_std @ op_rot - op_rot @ op_std
         assert np.max(np.abs(comm)) > 1e-6
         shared = dyad([0, 0, 1])
-        for op in (ctx_std.operator, ctx_rot.operator):
+        for op in (op_std, op_rot):
             assert np.max(np.abs(op @ shared - shared @ op)) < 1e-12
 
 
@@ -188,7 +187,7 @@ def test_criterion_09_operator_split():
         rng = np.random.default_rng(0)
         for _ in range(100):
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            a1, a2 = split_selfadjoint(a)
+            a1, a2 = map(np.asarray, split_selfadjoint(a))
             for part in (a1, a2):
                 assert np.max(np.abs(part - part.conj().T)) < 1e-12
             assert np.max(np.abs(a - (a1 + 1j * a2))) < 1e-12

@@ -790,11 +790,11 @@ def _python(code, cwd=None):
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
 
 
-def _heavy_modules_after(code):
-    """numpy, scipy and click, if loaded by running ``code`` in a new
-    interpreter."""
-    probe = (code + "\nimport sys\nprint(' '.join(m for m in ('numpy', 'scipy',"
-             " 'click') if m in sys.modules), file=sys.stderr)")
+def _heavy_modules_after(code, names=("numpy", "scipy", "click")):
+    """Those of ``names`` (by default numpy, scipy and click) loaded by
+    running ``code`` in a new interpreter."""
+    probe = (code + "\nimport sys\nprint(' '.join(m for m in "
+             f"{tuple(names)!r} if m in sys.modules), file=sys.stderr)")
     proc = _python(probe)
     proc.check_returncode()
     return proc.stderr.split()
@@ -824,6 +824,38 @@ class TestLeanImports:
                 f"main(['realize', {str(corpus.data_path('fig2a'))!r}, '--dim', '3',"
                 " '--restarts', '2', '--json'])")
         assert _heavy_modules_after(code) == []
+
+    @staticmethod
+    def _matrix_file(tmp_path):
+        mat = tmp_path / "matrix.txt"
+        mat.write_text("1+2j 3\n0 4j\n")
+        return str(mat)
+
+    def test_context_op_and_split_leave_out_numpy(self, tmp_path):
+        for args in (["context", "op", "--phi", "0.5", "--json"],
+                     ["split", "--matrix", self._matrix_file(tmp_path), "--json"]):
+            code = f"from qlctx.cli import main\nmain({args!r})"
+            assert _heavy_modules_after(code) == []
+
+    def test_commands_without_a_diagram_leave_out_logic(self, tmp_path):
+        for args in (["context", "op", "--phi", "0.5"],
+                     ["split", "--matrix", self._matrix_file(tmp_path)],
+                     ["singlet", "--dim", "2", "--sites", "2"],
+                     ["uniq", "check", str(corpus.data_path("psi2"))],
+                     ["catalog", "psi2"]):
+            code = f"from qlctx.cli import main\nmain({args!r})"
+            assert _heavy_modules_after(code, ["qlctx.logic"]) == [], args
+
+    def test_context_op_and_split_run_with_numpy_unimportable(self, tmp_path):
+        for args, golden in (
+                (["context", "op", "--phi", "0.5", "--json"],
+                 "context_op_phi05.json"),
+                (["split", "--matrix", self._matrix_file(tmp_path), "--json"],
+                 "split_2x2.json")):
+            proc = _python("import sys\nsys.modules['numpy'] = None\n"
+                           f"from qlctx.cli import main\nmain({args!r})")
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == (GOLDEN / golden).read_text()
 
     def test_realizability_import_leaves_out_numpy(self):
         assert _heavy_modules_after("import qlctx.realizability") == []

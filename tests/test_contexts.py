@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 
+from qlctx import contexts
 from qlctx.contexts import (
+    commutator,
     context_operator,
     link_observables,
     split_selfadjoint,
     two_tripod_bases,
 )
-from qlctx.linalg import dyad
+
+from oracles import (
+    dyad,
+    reference_context_operator,
+    reference_link_observables,
+    reference_split_selfadjoint,
+)
 
 
 def rotated_reference(phi, eigs):
@@ -73,6 +81,12 @@ class TestContextOperator:
         with pytest.raises(ValueError, match="orthonormal"):
             context_operator(np.ones((3, 3)), (1.0, 2.0, 3.0))
 
+    def test_nan_basis_rejected(self):
+        # a NaN overlap fails every "> tol" test; the check refuses it as
+        # not orthonormal, before dyad would call a NaN row a zero vector
+        with pytest.raises(ValueError, match="orthonormal"):
+            context_operator(np.full((3, 3), np.nan), (1.0, 2.0, 3.0))
+
     def test_projectors_within_context_commute(self):
         _, b2 = two_tripod_bases(np.pi / 5)
         projs = [dyad(v) for v in b2]
@@ -122,26 +136,27 @@ class TestCommutation:
         b1, b2 = two_tripod_bases(np.pi / 5)
         c1 = context_operator(b1, (1.0, 2.0, 3.0))
         c2 = context_operator(b2, (4.0, 5.0, 6.0))
-        comm = c1.operator @ c2.operator - c2.operator @ c1.operator
+        op1, op2 = np.asarray(c1.operator), np.asarray(c2.operator)
+        comm = op1 @ op2 - op2 @ op1
         assert np.max(np.abs(comm)) > 1e-6
 
     def test_both_commute_with_shared_projector(self):
         b1, b2 = two_tripod_bases(np.pi / 5)
         shared = dyad([0, 0, 1])
         for basis, eigs in ((b1, (1.0, 2.0, 3.0)), (b2, (4.0, 5.0, 6.0))):
-            op = context_operator(basis, eigs).operator
+            op = np.asarray(context_operator(basis, eigs).operator)
             assert np.max(np.abs(op @ shared - shared @ op)) < 1e-12
 
 
 class TestSplit:
     def test_selfadjoint_input(self):
         h = np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
-        a1, a2 = split_selfadjoint(h)
+        a1, a2 = map(np.asarray, split_selfadjoint(h))
         assert np.allclose(a1, h)
         assert np.max(np.abs(a2)) < 1e-12
 
     def test_antiselfadjoint_input(self):
-        a1, a2 = split_selfadjoint(1j * np.eye(3))
+        a1, a2 = map(np.asarray, split_selfadjoint(1j * np.eye(3)))
         assert np.max(np.abs(a1)) < 1e-12
         assert np.allclose(a2, np.eye(3))
 
@@ -149,7 +164,7 @@ class TestSplit:
         rng = np.random.default_rng(12)
         for _ in range(100):
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            a1, a2 = split_selfadjoint(a)
+            a1, a2 = map(np.asarray, split_selfadjoint(a))
             for part in (a1, a2):
                 assert np.max(np.abs(part - part.conj().T)) < 1e-12
             assert np.max(np.abs(a - (a1 + 1j * a2))) < 1e-12
@@ -157,10 +172,95 @@ class TestSplit:
     def test_near_the_float_limit_stays_finite(self):
         a = np.full((2, 2), 1e308 + 1e308j)
         with np.errstate(all="raise"):
-            a1, a2 = split_selfadjoint(a)
+            a1, a2 = map(np.asarray, split_selfadjoint(a))
         assert np.array_equal(a1, np.full((2, 2), 1e308))
         assert np.array_equal(a2, np.full((2, 2), 1e308))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             split_selfadjoint(np.ones((2, 3)))
+
+
+def test_dyad_axis_vectors():
+    out = np.asarray(contexts.dyad([1, 0, 0]))
+    expected = np.zeros((3, 3))
+    expected[0, 0] = 1
+    assert np.allclose(out, expected)
+    assert np.allclose(contexts.dyad([0, 0, 1]), np.diag([0, 0, 1]))
+
+
+def test_dyad_superposition_block():
+    out = contexts.dyad(np.array([1, 1, 0]) / np.sqrt(2))
+    expected = np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]])
+    assert np.allclose(out, expected)
+
+
+def test_dyad_normalizes_and_projects():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        p = np.asarray(contexts.dyad(v))
+        assert np.max(np.abs(p - p.conj().T)) < 1e-12
+        assert np.max(np.abs(p @ p - p)) < 1e-12
+
+
+def test_dyad_zero_vector():
+    with pytest.raises(ValueError):
+        contexts.dyad([0, 0, 0])
+
+
+def assert_matches(got, want, tol=1e-12):
+    """Entrywise agreement of the real and of the imaginary parts (so that
+    entries near the float limit are compared without overflow)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    for part in (np.real, np.imag):
+        assert np.max(np.abs(part(got) - part(want))) <= tol
+
+
+def random_unitary(rng, n):
+    """Q of the QR decomposition of a seeded complex Gaussian matrix."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+class TestAgainstNumpyReference:
+    """The pure-Python module against the numpy code it replaced."""
+
+    def test_context_operator_and_links(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            basis = random_unitary(rng, n)
+            eigs = tuple(rng.permutation(n) + rng.uniform(-10, 10))
+            ctx = context_operator(basis, eigs)
+            assert_matches(ctx.operator, reference_context_operator(basis, eigs))
+            # a second basis keeps k rows up to a phase and mixes the rest
+            # by a random unitary, so exactly k rays are shared (all n when
+            # one row is left, as its "mix" is a phase)
+            k = int(rng.integers(0, n + 1))
+            kept = basis[:k] * np.exp(2j * np.pi * rng.uniform(size=(k, 1)))
+            mixed = random_unitary(rng, n - k) @ basis[k:]
+            other = np.concatenate([kept, mixed])[rng.permutation(n)]
+            other_ctx = context_operator(other, tuple(range(n)))
+            got = link_observables(ctx, other_ctx)
+            want = reference_link_observables(basis, other)
+            assert len(got) == (n if k == n - 1 else k)
+            assert [(i, j) for i, j, _ in got] == [(i, j) for i, j, _ in want]
+            for (_, _, p), (_, _, q) in zip(got, want):
+                assert_matches(p, q)
+            op, other_op = np.asarray(ctx.operator), np.asarray(other_ctx.operator)
+            assert_matches(commutator(op, other_op), op @ other_op - other_op @ op)
+
+    def test_split(self):
+        rng = np.random.default_rng(37)
+        for trial in range(200):
+            n = int(rng.integers(1, 6))
+            # every fourth matrix has entries near the float limit
+            scale = 1e308 if trial % 4 == 0 else 10.0
+            a = scale * (rng.uniform(-1, 1, (n, n))
+                         + 1j * rng.uniform(-1, 1, (n, n)))
+            for got, want in zip(split_selfadjoint(a),
+                                 reference_split_selfadjoint(a)):
+                assert_matches(got, want)

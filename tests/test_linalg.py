@@ -3,40 +3,11 @@ import pytest
 from scipy.linalg import expm
 
 from qlctx.linalg import (
-    dyad,
     kernel,
     rotation_unitary,
     spin_matrices,
     unitarity_defect,
 )
-
-
-def test_dyad_axis_vectors():
-    out = dyad([1, 0, 0])
-    expected = np.zeros((3, 3))
-    expected[0, 0] = 1
-    assert np.allclose(out, expected)
-    assert np.allclose(dyad([0, 0, 1]), np.diag([0, 0, 1]))
-
-
-def test_dyad_superposition_block():
-    out = dyad(np.array([1, 1, 0]) / np.sqrt(2))
-    expected = np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]])
-    assert np.allclose(out, expected)
-
-
-def test_dyad_normalizes_and_projects():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        p = dyad(v)
-        assert np.max(np.abs(p - p.conj().T)) < 1e-12
-        assert np.max(np.abs(p @ p - p)) < 1e-12
-
-
-def test_dyad_zero_vector():
-    with pytest.raises(ValueError):
-        dyad([0, 0, 0])
 
 
 def test_kernel_trivial_cases():
