@@ -16,6 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 
+# the one tolerance of a context: of orthonormality, of distinct eigenvalues
+# and of a link overlap
+CONTEXT_TOLERANCE = 1e-9
+
 
 class Context:
     """Orthonormal basis (rows), distinct eigenvalues, and the cached operator."""
@@ -77,24 +81,24 @@ def commutator(a, b) -> list[list[complex]]:
             for a_row, b_row in zip(a, b)]
 
 
-def context_operator(basis, eigenvalues, tol: float = 1e-9) -> Context:
+def context_operator(basis, eigenvalues) -> Context:
     """Build the maximal operator sum_i e_i |b_i><b_i| of a context.
 
     The basis rows must be orthonormal and the eigenvalues mutually
     distinct (a repeated eigenvalue would make the operator degenerate and
-    the context ill-defined).
+    the context ill-defined), both to within the fixed CONTEXT_TOLERANCE.
     """
     basis = _square(basis, "basis must be a square matrix of row vectors")
     n = len(basis)
     for i, j in itertools.product(range(n), repeat=2):
         overlap = _dot(basis[i], _conj(basis[j])) - (i == j)
-        if not math.hypot(overlap.real, overlap.imag) <= tol:
+        if not math.hypot(overlap.real, overlap.imag) <= CONTEXT_TOLERANCE:
             raise ValueError("basis rows are not orthonormal")
     eigenvalues = tuple(float(e) for e in eigenvalues)
     if len(eigenvalues) != n:
         raise ValueError("need one eigenvalue per basis vector")
     for a, b in itertools.combinations(eigenvalues, 2):
-        if abs(a - b) <= tol:
+        if abs(a - b) <= CONTEXT_TOLERANCE:
             raise ValueError(
                 f"degenerate context: eigenvalues {a} and {b} coincide"
             )
@@ -119,19 +123,19 @@ def two_tripod_bases(phi: float) -> tuple[list, list]:
     return first, second
 
 
-def link_observables(c1: Context, c2: Context, tol: float = 1e-9):
+def link_observables(c1: Context, c2: Context):
     """Rank-1 projectors shared by two contexts.
 
     Returns (i, j, projector) triples for every basis pair with overlap
-    magnitude at least 1 - tol; symmetric in its arguments up to index
-    order.
+    magnitude at least 1 - CONTEXT_TOLERANCE; symmetric in its arguments
+    up to index order.
     """
     if c1.dim != c2.dim:
         raise ValueError("contexts act on different dimensions")
     links = []
     for i, u in enumerate(c1.basis):
         for j, w in enumerate(c2.basis):
-            if abs(_dot(_conj(u), w)) >= 1.0 - tol:
+            if abs(_dot(_conj(u), w)) >= 1.0 - CONTEXT_TOLERANCE:
                 links.append((i, j, dyad(u)))
     return links
 

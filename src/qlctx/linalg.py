@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
+KERNEL_TOLERANCE = 1e-9
 
 
 def unitarity_defect(u) -> float:
@@ -18,8 +18,9 @@ def unitarity_defect(u) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
-def kernel(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of {v : ‖Mv‖ <= tol·‖M‖·‖v‖}; empty for a trivial kernel.
+def kernel(m) -> list[np.ndarray]:
+    """Orthonormal basis of {v : ‖Mv‖ <= KERNEL_TOLERANCE·‖M‖·‖v‖}; empty
+    for a trivial kernel.
 
     A real matrix is decomposed in real arithmetic and gives real vectors.
     """
@@ -32,7 +33,7 @@ def kernel(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     vecs = []
     for i in range(m.shape[1]):
         s_i = float(sing[i]) if i < sing.size else 0.0
-        if s_i <= tol * smax:
+        if s_i <= KERNEL_TOLERANCE * smax:
             vecs.append(vh[i].conj())
     return vecs
 

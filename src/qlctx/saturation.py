@@ -78,10 +78,12 @@ def saturate_orthogonality(diagram: GreechieDiagram) -> SaturationOutcome:
 
     The orthogonality relation of a diagram only grows through collinearity
     merges, and the first merge of two distinct atoms already refutes
-    realizability, so one pass over all pairs of atoms is exhaustive.
-    Orthogonal pairs {u, w} are scanned first, then the other pairs, each
-    in atom order; the atoms orthogonal to both are the intersection of
-    their neighbour sets.
+    realizability, so one pass over all pairs of atoms is exhaustive.  It is
+    one scan in atom order: an atom w > u reached from u along two paths of
+    two steps shares two neighbours with u.  The first u with such an
+    orthogonal w is cited at once, with its smallest w; otherwise the first
+    u with such a non-orthogonal w is, after the scan.  The atoms orthogonal
+    to both are the intersection of their neighbour sets.
     """
     if diagram.dim != 3:
         raise ValueError("the saturation rule is specific to dimension 3")
@@ -101,20 +103,19 @@ def saturate_orthogonality(diagram: GreechieDiagram) -> SaturationOutcome:
         step = SaturationStep((x, y), (u, w), reasons, orthogonal)
         return SaturationOutcome("contradiction", (step,))
 
+    first_other = None
     for iu, nu in enumerate(neighbours):
-        for iw in sorted(iw for iw in nu if iw > iu):
-            if len(nu & neighbours[iw]) >= 2:
-                return refuted(iu, iw, True)
-    for iu, nu in enumerate(neighbours):
-        # an atom w reached from u along two paths of two steps shares two
-        # neighbours with u
         seen, twice = set(), set()
         for ix in nu:
             for iw in neighbours[ix]:
-                if iw > iu and iw not in nu:
+                if iw > iu:
                     (twice if iw in seen else seen).add(iw)
-        if twice:
-            return refuted(iu, min(twice), False)
+        if twice & nu:
+            return refuted(iu, min(twice & nu), True)
+        if first_other is None and twice:
+            first_other = (iu, min(twice))
+    if first_other is not None:
+        return refuted(*first_other, False)
     return SaturationOutcome("no_contradiction")
 
 

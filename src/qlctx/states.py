@@ -28,6 +28,10 @@ SITE_LABELS = {2: ("+", "-"), 3: ("+", "0", "-")}
 
 MAX_TOTAL_DIM = 10_000
 
+TERM_CUTOFF = 1e-12
+UNITARITY_TOLERANCE = 1e-9
+INVARIANCE_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class MultipartiteState:
@@ -87,9 +91,9 @@ class MultipartiteState:
 
     def terms(self) -> Iterator[tuple[complex, tuple[int, ...]]]:
         """Yield (amplitude, site digits) for each amplitude of magnitude
-        above 1e-12, in flat-index order."""
+        above TERM_CUTOFF, in flat-index order."""
         tens = self.tensor_view()
-        digits = np.argwhere(np.abs(tens) > 1e-12)  # C order: flat-index order
+        digits = np.argwhere(np.abs(tens) > TERM_CUTOFF)  # C order: flat-index order
         for amp, row in zip(tens[tuple(digits.T)].tolist(), digits.tolist()):
             yield amp, tuple(row)
 
@@ -179,14 +183,15 @@ def _raising_sector(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return raise_op, zero
 
 
-def singlet_subspace(d: int, n: int, tol: float = 1e-9) -> list[MultipartiteState]:
+def singlet_subspace(d: int, n: int) -> list[MultipartiteState]:
     """Orthonormal basis of the total-spin-zero subspace of n spin-(d-1)/2 quanta.
 
     A vector with S_z ψ = 0 and S₊ ψ = 0 has S² ψ = (S₋S₊ + S_z² + S_z) ψ = 0,
     so the singlets are the kernel of total S₊ restricted to the M = 0 weight
     sector, embedded back into the full d**n vector.  The basis size is the
     multiplicity of total spin zero in the n-fold product; the basis itself
-    is one orthonormal choice among many.  No (d**n)² matrix is built.
+    is one orthonormal choice among many.  No (d**n)² matrix is built.  The
+    kernel's singular-value cut is the fixed ``linalg.KERNEL_TOLERANCE``.
     """
     if d not in SITE_LABELS:
         raise ValueError(f"unsupported site dimension {d}")
@@ -197,7 +202,7 @@ def singlet_subspace(d: int, n: int, tol: float = 1e-9) -> list[MultipartiteStat
         return []  # half-integer total M: the M = 0 sector is empty
     raise_op, zero = _raising_sector(d, n)
     basis = []
-    for v in kernel(raise_op, tol):
+    for v in kernel(raise_op):
         full = np.zeros(d**n, dtype=complex)
         full[zero] = v
         basis.append(MultipartiteState(n, d, full))
@@ -214,7 +219,8 @@ def apply_local(psi: MultipartiteState, unitaries) -> MultipartiteState:
 
     Each unitary is contracted with its own axis of the coefficient tensor,
     O(n·d**(n+1)) time and O(d**n) memory; the Kronecker product is never
-    formed.
+    formed.  A matrix with an entry of U†U - I above UNITARITY_TOLERANCE is
+    refused as not unitary.
     """
     if len(unitaries) != psi.sites:
         raise ValueError("need exactly one unitary per site")
@@ -224,7 +230,7 @@ def apply_local(psi: MultipartiteState, unitaries) -> MultipartiteState:
         if u.shape != (psi.site_dim, psi.site_dim):
             raise ValueError("unitary has wrong shape for the site dimension")
         # written so that a NaN defect fails too
-        if not unitarity_defect(u) <= 1e-9:
+        if not unitarity_defect(u) <= UNITARITY_TOLERANCE:
             raise ValueError("matrix is not unitary")
         mats.append(u)
     t = psi.tensor_view()
@@ -260,10 +266,10 @@ def is_form_invariant(
     psi: MultipartiteState,
     trials: int = 100,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> tuple[bool, float]:
-    """Whether |<psi|(U ⊗ ... ⊗ U)|psi>| >= 1 - tol for ``trials`` sampled spin
-    rotations U.  Returns (verdict, worst overlap seen)."""
+    """Whether |<psi|(U ⊗ ... ⊗ U)|psi>| >= 1 - INVARIANCE_TOLERANCE for
+    ``trials`` sampled spin rotations U.  Returns (verdict, worst overlap
+    seen)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -272,7 +278,7 @@ def is_form_invariant(
         rot = sample_rotation(psi.site_dim, rng)
         rotated = apply_identical_local(psi, rot.unitary)
         worst = min(worst, psi.overlap(rotated))
-    return worst >= 1.0 - tol, worst
+    return worst >= 1.0 - INVARIANCE_TOLERANCE, worst
 
 
 # --- .qs state file format ----------------------------------------------

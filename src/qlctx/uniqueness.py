@@ -36,6 +36,14 @@ class NullFilterError(ValueError):
     """Conditioning on an outcome of (numerically) zero probability."""
 
 
+def _above(amplitudes: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the amplitudes of magnitude above ``tol``.  A negative ``tol``
+    would count zero amplitudes as terms and is refused."""
+    if tol < 0:
+        raise ValueError("tolerance must be nonnegative")
+    return np.abs(amplitudes) > tol
+
+
 def _observed(psi: MultipartiteState, site: int, outcome, tol: float):
     """Level index of ``outcome`` at ``site`` and the mask of the amplitudes
     of its slab (the other sites' axes, in order) that are above ``tol``.
@@ -43,7 +51,7 @@ def _observed(psi: MultipartiteState, site: int, outcome, tol: float):
     if not 0 <= site < psi.sites:
         raise ValueError(f"site {site} out of range")
     level = psi.label_index(outcome)
-    mask = np.abs(np.moveaxis(psi.tensor_view(), site, 0)[level]) > tol
+    mask = _above(np.moveaxis(psi.tensor_view(), site, 0)[level], tol)
     if not mask.any():
         raise NullFilterError(
             f"null filter: outcome {psi.labels[level]!r} has zero probability "
@@ -89,8 +97,8 @@ class UniquenessReport:
 def check_uniqueness(psi: MultipartiteState, tol: float = 1e-9) -> UniquenessReport:
     """Decide the uniqueness property of ``psi`` in its preparation basis.
 
-    Raises ValueError when ``tol`` leaves no amplitude above it: an empty
-    support has no outcomes, so no verdict rests on it.
+    Raises ValueError when ``tol`` is negative or leaves no amplitude above
+    it: an empty support has no outcomes, so no verdict rests on it.
     """
     possibilities, term_count = _possibilities(psi, tol)
     if not term_count:
@@ -115,7 +123,7 @@ def _possibilities(psi: MultipartiteState, tol: float) -> tuple[dict, int]:
     O(K·n²) for K terms.  The diagonal ``table[s, s, a, a]`` says level a
     is possible at site s.
     """
-    digits = np.argwhere(np.abs(psi.tensor_view()) > tol)
+    digits = np.argwhere(_above(psi.tensor_view(), tol))
     n, labels = psi.sites, psi.labels
     table = np.zeros((n, n, psi.site_dim, psi.site_dim), dtype=bool)
     sites = np.arange(n)

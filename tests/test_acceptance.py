@@ -121,11 +121,11 @@ def test_criterion_06_form_invariance():
     with criterion(6, "form invariance"):
         for name in ("psi2", "psi3"):
             ok, worst = is_form_invariant(
-                catalog_state(name), trials=100, seed=0, tol=1e-9
+                catalog_state(name), trials=100, seed=0
             )
             assert ok and worst >= 1 - 1e-9
         for vec in singlet_subspace(3, 4):
-            ok, worst = is_form_invariant(vec, trials=100, seed=0, tol=1e-9)
+            ok, worst = is_form_invariant(vec, trials=100, seed=0)
             assert ok and worst >= 1 - 1e-9
         ok, _ = is_form_invariant(catalog_state("ghzm"), trials=100, seed=0)
         assert not ok

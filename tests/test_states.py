@@ -6,6 +6,8 @@ from math import comb
 import numpy as np
 import pytest
 
+from qlctx import contexts, linalg, states
+from qlctx.contexts import context_operator, link_observables
 from qlctx.linalg import kernel, rotation_unitary
 from qlctx.states import (
     MultipartiteState,
@@ -22,10 +24,10 @@ from qlctx.states import (
 from oracles import from_terms
 
 
-def dense_singlet_kernel(d, n, tol=1e-9):
+def dense_singlet_kernel(d, n):
     """Oracle: kernel of the dense (d**n)² Casimir S_x² + S_y² + S_z²."""
     sx, sy, sz = spin_total_operators(d, n)
-    return kernel(sx @ sx + sy @ sy + sz @ sz, tol)
+    return kernel(sx @ sx + sy @ sy + sz @ sz)
 
 
 def kron_all(mats):
@@ -273,6 +275,35 @@ class TestFormInvariance:
         rotated = apply_identical_local(plusplus, u)
         assert plusplus.overlap(rotated) < 1e-9
         assert not is_form_invariant(plusplus, trials=50, seed=1)[0]
+
+
+NAN = float("nan")
+
+
+class TestFixedTolerances:
+    # a nan tolerance found no singlet, no link and no invariance of psi2,
+    # and a tolerance of 2 made a product state form invariant, so none can
+    # be passed in
+    @pytest.mark.parametrize("call", [
+        lambda: context_operator(np.eye(3), (1, 2, 3), tol=NAN),
+        lambda: link_observables(*[context_operator(np.eye(3), (1, 2, 3))] * 2,
+                                 tol=NAN),
+        lambda: kernel(np.eye(2), tol=NAN),
+        lambda: singlet_subspace(3, 2, tol=NAN),
+        lambda: is_form_invariant(catalog_state("psi2"), trials=3, tol=NAN),
+    ], ids=["context_operator", "link_observables", "kernel",
+            "singlet_subspace", "is_form_invariant"])
+    def test_tolerance_is_not_an_argument(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_values(self):
+        assert contexts.CONTEXT_TOLERANCE == 1e-9
+        assert linalg.KERNEL_TOLERANCE == 1e-9
+        assert not hasattr(linalg, "DEFAULT_TOL")
+        assert states.UNITARITY_TOLERANCE == 1e-9
+        assert states.INVARIANCE_TOLERANCE == 1e-9
+        assert states.TERM_CUTOFF == 1e-12
 
 
 class TestStateFiles:

@@ -113,6 +113,18 @@ class TestCheckUniqueness:
         with pytest.raises(ValueError, match="no nonzero amplitude"):
             check_uniqueness_rotated(psi, 2, seed=1, tol=1.0)
 
+    def test_negative_tolerance_is_refused(self):
+        # it would count the zero amplitudes: psi2 read as not unique with 9
+        # terms, and every level as possible in a completion
+        psi = catalog_state("psi2")
+        for call in (lambda: check_uniqueness(psi, tol=-1.0),
+                     lambda: check_uniqueness_rotated(psi, 1, tol=-1.0),
+                     lambda: filter_outcome(psi, 0, "+", tol=-1.0),
+                     lambda: counterfactual_complete(psi, 0, "+", tol=-1.0)):
+            with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+                call()
+        assert check_uniqueness(psi, tol=0.0).term_count == 3
+
     def test_unique_implies_term_count_at_most_dim(self):
         for name in CATALOG:
             psi = catalog_state(name)
