@@ -71,12 +71,12 @@ def value_and_grad(x, n, width, orth_mask, offdiag, t2, complex_space):
 # SUFFICIENT_DECREASE its Armijo constant, here in a backtracking line search
 # (Nocedal and Wright, Numerical Optimization, ch. 3); the iteration,
 # evaluation and stopping limits are the ones this search has always run
-# with.  The FTOL test is L-BFGS-B's factr test without its absolute floor
-# of 1, so a witness's penalty falls to ~1e-27.
+# with.  A run also stops when an accepted step leaves f unchanged: that is
+# L-BFGS-B's factr test with a tolerance below double spacing and without
+# its absolute floor of 1, so a witness's penalty falls to ~1e-27.
 MEMORY = 10
 MAXITER = 2000
 MAXFUN = 5000
-FTOL = 1e-18
 GTOL = 1e-14
 SUFFICIENT_DECREASE = 1e-3
 LINE_SEARCH_EVALS = 20
@@ -154,7 +154,7 @@ def _lbfgs(x):
         sy = float(s @ y)
         if sy > np.finfo(float).eps * float(y @ y):
             pairs.append((s, y, 1.0 / sy))
-        done = f - f_new <= FTOL * max(abs(f), abs(f_new))
+        done = f_new == f
         x, f, g = x_new, f_new, g_new
         if done:
             break
@@ -172,8 +172,8 @@ def minimize(fun, x0, args=()) -> Minimum:
     row leaves the batch when it stops.  The first trial step has length
     1; later ones are the full quasi-Newton step.  A row stops when a line
     search accepts no step, after MAXITER iterations, once MAXFUN
-    evaluations are spent, when an iteration lowers f by at most
-    FTOL * max(|f|, |f_new|), or when max |grad| <= GTOL.
+    evaluations are spent, when an accepted step leaves f unchanged, or
+    when max |grad| <= GTOL.
 
     The result's ``x`` (R, N) and ``fun`` (R,) hold every row's end point;
     its ``nit`` and ``nfev`` are totals over the rows.

@@ -1,6 +1,7 @@
 """Multipartite spin states: the catalog of reference entangled states
-(read from the bundled corpus files), total-spin operators, singlet
-(total-spin-zero) subspaces, and identical local rotations.
+(read from the bundled corpus files), spin matrices and rotation
+unitaries, total-spin operators, singlet (total-spin-zero) subspaces, and
+identical local rotations.
 
 Coefficient tensors are stored flattened in site-major order: the basis ket
 |k1 k2 ... kn> has flat index sum(ki * d**(n-1-i)).  Single-site levels are
@@ -10,7 +11,8 @@ last index is '-' ('+', '0', '-' for d = 3; '+', '-' for d = 2).
 Singlets and local rotations work on vectors of length d**n: singlets
 are the kernel of total S₊ on the M = 0 weight sector, and local unitaries
 are contracted one tensor axis at a time.  Only ``spin_total_operators``
-builds dense (d**n)² matrices.
+builds dense (d**n)² matrices.  Form invariance and the rotated uniqueness
+check draw their rotations from one seeded stream.
 """
 
 from __future__ import annotations
@@ -22,15 +24,84 @@ from functools import reduce
 import numpy as np
 
 from . import _text
-from .linalg import kernel, rotation_unitary, spin_matrices, unitarity_defect
 
 SITE_LABELS = {2: ("+", "-"), 3: ("+", "0", "-")}
 
 MAX_TOTAL_DIM = 10_000
 
+KERNEL_TOLERANCE = 1e-9
 TERM_CUTOFF = 1e-12
 UNITARITY_TOLERANCE = 1e-9
 INVARIANCE_TOLERANCE = 1e-9
+
+
+def unitarity_defect(u) -> float:
+    u = np.asarray(u, dtype=complex)
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+
+
+def kernel(m) -> list[np.ndarray]:
+    """Orthonormal basis of {v : ‖Mv‖ <= KERNEL_TOLERANCE·‖M‖·‖v‖}; empty
+    for a trivial kernel.
+
+    A real matrix is decomposed in real arithmetic and gives real vectors.
+    """
+    m = np.asarray(m)
+    m = m.astype(complex if np.iscomplexobj(m) else float)
+    if m.ndim != 2:
+        raise ValueError("kernel expects a matrix")
+    _, sing, vh = np.linalg.svd(m)
+    smax = float(sing[0]) if sing.size else 0.0
+    vecs = []
+    for i in range(m.shape[1]):
+        s_i = float(sing[i]) if i < sing.size else 0.0
+        if s_i <= KERNEL_TOLERANCE * smax:
+            vecs.append(vh[i].conj())
+    return vecs
+
+
+def spin_matrices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spin-(d-1)/2 operator triple (Sx, Sy, Sz), basis ordered by descending m."""
+    if d < 2:
+        raise ValueError("spin space dimension must be >= 2")
+    s = (d - 1) / 2.0
+    m = s - np.arange(d)
+    sz = np.diag(m).astype(complex)
+    # S+|s,m> = sqrt(s(s+1) - m(m+1)) |s,m+1>; basis is descending in m
+    off = np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1))
+    sp = np.zeros((d, d), dtype=complex)
+    sp[np.arange(d - 1), np.arange(1, d)] = off
+    sm = sp.conj().T
+    sx = (sp + sm) / 2.0
+    sy = (sp - sm) / 2.0j
+    return sx, sy, sz
+
+
+def rotation_unitary(d: int, axis, angle: float) -> np.ndarray:
+    """exp(-i·angle·(n̂·S)) on the d-dimensional spin space, d in {2, 3}."""
+    if d not in (2, 3):
+        raise ValueError("rotation_unitary supports spin dimensions 2 and 3 only")
+    axis = np.asarray(axis, dtype=float).reshape(-1)
+    if axis.shape != (3,):
+        raise ValueError("axis must be a real 3-vector")
+    norm = float(np.linalg.norm(axis))
+    if norm == 0.0:
+        raise ValueError("axis must be nonzero")
+    n = axis / norm
+    sx, sy, sz = spin_matrices(d)
+    k = n[0] * sx + n[1] * sy + n[2] * sz
+    # closed forms from the spectrum of n̂·S: (n̂·S)² = I/4 for spin 1/2,
+    # and (n̂·S)³ = n̂·S for spin 1
+    if d == 2:
+        return np.cos(angle / 2) * np.eye(2) - 2j * np.sin(angle / 2) * k
+    return np.eye(3) - 1j * np.sin(angle) * k + (np.cos(angle) - 1) * (k @ k)
+
+
+def _check_site_space(d: int, n: int) -> None:
+    if d not in SITE_LABELS:
+        raise ValueError(f"unsupported site dimension {d}")
+    if n < 1:
+        raise ValueError("state needs at least one site")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,15 +116,15 @@ class MultipartiteState:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.site_dim not in SITE_LABELS:
-            raise ValueError(f"unsupported site dimension {self.site_dim}")
-        if self.sites < 1:
-            raise ValueError("state needs at least one site")
+        d, n = self.site_dim, self.sites
+        _check_site_space(d, n)
         c = np.asarray(self.coeffs, dtype=complex).reshape(-1).copy()
-        if c.size != self.site_dim**self.sites:
+        # d >= 2, so past 64 sites d**n exceeds any array length; naming it
+        # there keeps a huge n from building and printing a huge integer
+        if n > 64 or c.size != d**n:
+            expected = f"{d}**{n}" if n > 64 else d**n
             raise ValueError(
-                f"coefficient vector has length {c.size}, "
-                f"expected {self.site_dim ** self.sites}"
+                f"coefficient vector has length {c.size}, expected {expected}"
             )
         with np.errstate(over="ignore"):  # _norm_error names an overflow
             norm = np.linalg.norm(c)
@@ -171,9 +242,9 @@ def _raising_sector(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     one = np.flatnonzero(digit_sum == target - 1)
     row_of = np.full(d**n, -1)
     row_of[one] = np.arange(one.size)
-    # S₊|k> = c[k] |k-1> on one site, read off the single-site S₊ = Sx + i·Sy
-    sx, sy, _ = spin_matrices(d)
-    c = np.concatenate(([0.0], np.diag((sx + 1j * sy).real, 1)))
+    # S₊|k> = c[k] |k-1> on one site, c[k] = √(s(s+1) - m(m+1)) = √(k(d-k))
+    k = np.arange(d)
+    c = np.sqrt(k * (d - k))
     strides = d ** np.arange(n - 1, -1, -1)
     sector = digits[zero]  # (N0, n)
     cols, sites = np.nonzero(sector > 0)
@@ -191,12 +262,9 @@ def singlet_subspace(d: int, n: int) -> list[MultipartiteState]:
     sector, embedded back into the full d**n vector.  The basis size is the
     multiplicity of total spin zero in the n-fold product; the basis itself
     is one orthonormal choice among many.  No (d**n)² matrix is built.  The
-    kernel's singular-value cut is the fixed ``linalg.KERNEL_TOLERANCE``.
+    kernel's singular-value cut is the fixed ``KERNEL_TOLERANCE``.
     """
-    if d not in SITE_LABELS:
-        raise ValueError(f"unsupported site dimension {d}")
-    if n < 1:
-        raise ValueError("state needs at least one site")
+    _check_site_space(d, n)
     _check_total_dim(d, n)
     if n * (d - 1) % 2:
         return []  # half-integer total M: the M = 0 sector is empty
@@ -248,10 +316,6 @@ class RotationSample:
     unitary: np.ndarray
 
 
-def identity_rotation(d: int) -> RotationSample:
-    return RotationSample((0.0, 0.0, 1.0), 0.0, np.eye(d, dtype=complex))
-
-
 def sample_rotation(d: int, rng: np.random.Generator) -> RotationSample:
     """Rotation with uniform axis on the sphere and uniform angle in [0, 2π)."""
     axis = rng.standard_normal(3)
@@ -260,6 +324,17 @@ def sample_rotation(d: int, rng: np.random.Generator) -> RotationSample:
     axis = axis / np.linalg.norm(axis)
     angle = float(rng.uniform(0.0, 2.0 * np.pi))
     return RotationSample(tuple(axis), angle, rotation_unitary(d, axis, angle))
+
+
+def identical_rotations(
+    psi: MultipartiteState, trials: int, seed: int
+) -> Iterator[tuple[RotationSample, MultipartiteState]]:
+    """Yield (rotation, rotated psi) for ``trials`` rotations drawn in turn
+    from ``default_rng(seed)``, each applied to every site of psi."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        rot = sample_rotation(psi.site_dim, rng)
+        yield rot, apply_identical_local(psi, rot.unitary)
 
 
 def is_form_invariant(
@@ -272,11 +347,8 @@ def is_form_invariant(
     seen)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
     worst = 1.0
-    for _ in range(trials):
-        rot = sample_rotation(psi.site_dim, rng)
-        rotated = apply_identical_local(psi, rot.unitary)
+    for _, rotated in identical_rotations(psi, trials, seed):
         worst = min(worst, psi.overlap(rotated))
     return worst >= 1.0 - INVARIANCE_TOLERANCE, worst
 

@@ -14,7 +14,8 @@ O(K·n²).  Filtering and completion share one gate that thresholds the
 observed level's slab of psi (a view of d^(n-1) amplitudes) once, and
 completion reads the other sites' levels from the digit rows of its mask;
 like the check, both threshold psi itself, at one tolerance.  The rotated
-check's identity entry is the check of psi itself.
+check's identity entry is the check of psi itself, and its other entries
+come from ``states.identical_rotations``.
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import (
-    MultipartiteState,
-    RotationSample,
-    apply_identical_local,
-    identity_rotation,
-    sample_rotation,
-)
+from .states import MultipartiteState, RotationSample, identical_rotations
 
 
 class NullFilterError(ValueError):
@@ -161,12 +156,10 @@ def check_uniqueness_rotated(
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    rng = np.random.default_rng(seed)
-    out = [RotatedUniqueness(identity_rotation(psi.site_dim),
-                             check_uniqueness(psi, tol))]
-    for _ in range(trials):
-        rot = sample_rotation(psi.site_dim, rng)
-        rotated = apply_identical_local(psi, rot.unitary)
+    identity = RotationSample((0.0, 0.0, 1.0), 0.0,
+                              np.eye(psi.site_dim, dtype=complex))
+    out = [RotatedUniqueness(identity, check_uniqueness(psi, tol))]
+    for rot, rotated in identical_rotations(psi, trials, seed):
         out.append(RotatedUniqueness(rot, check_uniqueness(rotated, tol)))
     return out
 

@@ -243,9 +243,10 @@ def scipy_minimize(fun, x0, args=()):
         f, g = fun(x[None], *args)
         return f[0], g[0]
 
+    # ftol is scipy's factr test, which keeps its absolute floor of 1
     ends = [minimize(one, x, args=args, jac=True, method="L-BFGS-B",
                      options={"maxiter": lbfgs.MAXITER, "maxfun": lbfgs.MAXFUN,
-                              "ftol": lbfgs.FTOL, "gtol": lbfgs.GTOL})
+                              "ftol": 1e-18, "gtol": lbfgs.GTOL})
             for x in x0]
     return lbfgs.Minimum(np.array([e.x for e in ends]),
                          np.array([e.fun for e in ends]),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qlctx.linalg import (
+from qlctx.states import (
     kernel,
     rotation_unitary,
     spin_matrices,

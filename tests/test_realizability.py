@@ -13,7 +13,7 @@ from oracles import (
     tripod_chain,
     tripod_ring,
 )
-from qlctx import corpus, realizability
+from qlctx import corpus, realizability, saturation
 from qlctx._numerical import (
     LINE_SEARCH_EVALS,
     MAXFUN,
@@ -509,6 +509,28 @@ class TestExactStage:
         with pytest.raises(ValueError, match="dimension 3"):
             integer_witness(make_diagram([("a", "b"), ("b", "c")]), 0.05)
 
+    def test_candidate_parallel_to_its_neighbour_is_refused(self, monkeypatch):
+        # u x g is the zero vector when g is parallel to u; the gcd of its
+        # coordinates is 0, and the next candidate g is tried instead
+        d = corpus.load("fig1")
+        unpatched = integer_witness(d, DISTINCTNESS_MARGIN)
+        generic = saturation._generic_vectors
+
+        def parallel_second():
+            stream = generic()
+            first = next(stream)
+            yield first
+            yield tuple(2 * c for c in first)
+            yield from stream
+
+        monkeypatch.setattr(saturation, "_generic_vectors", parallel_second)
+        witness = integer_witness(d, DISTINCTNESS_MARGIN)
+        assert witness is not None
+        assert integer_witness_violations(d, witness,
+                                          DISTINCTNESS_MARGIN) == []
+        # the parallel candidate was the only one skipped
+        assert witness == unpatched
+
     def test_a_tighter_margin_is_checked_exactly(self):
         # the propagation reads the margin exactly; whatever it places must
         # pass the integer oracle at that margin
@@ -575,6 +597,16 @@ class TestMinimize:
         assert nit == 1 and nfev == 2 + LINE_SEARCH_EVALS == len(trials)
         assert np.array_equal(x, trials[1])
         assert f == float(x @ x) < 5.0
+
+    def test_step_that_leaves_f_unchanged_ends_the_run(self):
+        # the gradient is above GTOL, but the first step's Armijo bound
+        # rounds to f itself, so it is accepted with f unchanged
+        def flat(x):
+            return np.ones(len(x)), np.full(x.shape, 5e-14)
+
+        result = minimize(flat, np.zeros((1, 1)))
+        assert result.nit == 1 and result.nfev == 2
+        assert result.fun[0] == 1.0 and result.x[0, 0] != 0.0
 
     def test_convex_quadratic_reaches_minimizer(self):
         rng = np.random.default_rng(4)

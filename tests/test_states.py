@@ -6,16 +6,19 @@ from math import comb
 import numpy as np
 import pytest
 
-from qlctx import contexts, linalg, states
+from qlctx import contexts, states
 from qlctx.contexts import context_operator, link_observables
-from qlctx.linalg import kernel, rotation_unitary
+from qlctx.uniqueness import check_uniqueness_rotated
 from qlctx.states import (
     MultipartiteState,
     apply_identical_local,
     apply_local,
     catalog_state,
+    identical_rotations,
     is_form_invariant,
+    kernel,
     read_qs,
+    rotation_unitary,
     singlet_subspace,
     spin_total_operators,
     write_qs,
@@ -276,6 +279,20 @@ class TestFormInvariance:
         assert plusplus.overlap(rotated) < 1e-9
         assert not is_form_invariant(plusplus, trials=50, seed=1)[0]
 
+    def test_rotated_uniqueness_sees_the_same_rotations(self):
+        # form invariance and the rotated uniqueness check share one stream
+        psi = catalog_state("ghzm")
+        stream = list(identical_rotations(psi, 4, 3))
+        assert len(stream) == 4
+        for rot, rotated in stream:
+            assert np.array_equal(rotated.coeffs,
+                                  apply_identical_local(psi, rot.unitary).coeffs)
+        worst = min(psi.overlap(rotated) for _, rotated in stream)
+        assert is_form_invariant(psi, trials=4, seed=3)[1] == min(1.0, worst)
+        entries = check_uniqueness_rotated(psi, 4, seed=3)[1:]
+        assert [(e.rotation.axis, e.rotation.angle) for e in entries] == \
+            [(rot.axis, rot.angle) for rot, _ in stream]
+
 
 NAN = float("nan")
 
@@ -299,8 +316,8 @@ class TestFixedTolerances:
 
     def test_values(self):
         assert contexts.CONTEXT_TOLERANCE == 1e-9
-        assert linalg.KERNEL_TOLERANCE == 1e-9
-        assert not hasattr(linalg, "DEFAULT_TOL")
+        assert states.KERNEL_TOLERANCE == 1e-9
+        assert not hasattr(states, "DEFAULT_TOL")
         assert states.UNITARITY_TOLERANCE == 1e-9
         assert states.INVARIANCE_TOLERANCE == 1e-9
         assert states.TERM_CUTOFF == 1e-12
@@ -412,6 +429,15 @@ class TestStateValue:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             MultipartiteState(2, 3, np.ones(8))
+
+    @pytest.mark.parametrize("sites, expected", [
+        (64, str(2**64)), (65, r"2\*\*65"), (10**5, r"2\*\*100000"),
+    ])
+    def test_huge_site_count_is_not_expanded(self, sites, expected):
+        # past 64 sites the message names d**n instead of building it:
+        # 2**100000 has more digits than Python converts to a string
+        with pytest.raises(ValueError, match=f"length 1, expected {expected}$"):
+            MultipartiteState(sites, 2, np.ones(1))
 
     def test_coeffs_read_only(self):
         psi = catalog_state("psi2")
