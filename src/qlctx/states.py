@@ -10,7 +10,9 @@ last index is '-' ('+', '0', '-' for d = 3; '+', '-' for d = 2).
 
 Singlets and local rotations work on vectors of length d**n: singlets
 are the kernel of total S₊ on the M = 0 weight sector, and local unitaries
-are contracted one tensor axis at a time.  Only ``spin_total_operators``
+are applied one site at a time, each as one d × d matrix product with a
+d × d**(n-1) view of the state whose columns keep the order a per-axis
+``tensordot`` gives them.  Only ``spin_total_operators``
 builds dense (d**n)² matrices.  Form invariance and the rotated uniqueness
 check draw their rotations from one seeded stream.
 """
@@ -142,7 +144,13 @@ class MultipartiteState:
         return self.coeffs.reshape((self.site_dim,) * self.sites)
 
     def label_index(self, outcome) -> int:
-        """Outcome label (or integer level index) -> level index."""
+        """Outcome label (or integer level index) -> level index.  A bool
+        is refused: ``True`` is neither a label nor meant as level 1."""
+        if isinstance(outcome, (bool, np.bool_)):
+            raise ValueError(
+                f"outcome {outcome!r} is a bool; expected a label in "
+                f"{self.labels} or a level index"
+            )
         if isinstance(outcome, (int, np.integer)):
             if not 0 <= outcome < self.site_dim:
                 raise ValueError(f"level index {outcome} out of range")
@@ -285,26 +293,43 @@ def apply_identical_local(psi: MultipartiteState, u) -> MultipartiteState:
 def apply_local(psi: MultipartiteState, unitaries) -> MultipartiteState:
     """Apply one single-site unitary per site, (U_1 ⊗ ... ⊗ U_n) psi.
 
-    Each unitary is contracted with its own axis of the coefficient tensor,
-    O(n·d**(n+1)) time and O(d**n) memory; the Kronecker product is never
-    formed.  A matrix with an entry of U†U - I above UNITARITY_TOLERANCE is
-    refused as not unitary.
+    Step s multiplies a d × dⁿ⁻¹ matrix by U_s: its rows are site s's
+    levels and its columns the other sites' levels, in site order.  One
+    transposing copy of each product gives the next step's matrix, and the
+    last product transposed is the result.  That is O(n·dⁿ⁺¹) time and
+    O(dⁿ) memory; the Kronecker product is never formed.  The columns keep
+    the order a per-axis ``tensordot`` gives them, so each product rounds
+    exactly as that contraction does (BLAS rounds the columns of a ragged
+    last block apart from the rest).  A matrix with an entry of U†U - I
+    above UNITARITY_TOLERANCE is refused as not unitary; a matrix passed
+    for several sites is checked once.
     """
     if len(unitaries) != psi.sites:
         raise ValueError("need exactly one unitary per site")
+    d = psi.site_dim
+    # keyed by identity; each entry holds its original, so no id is reused
+    checked: dict[int, tuple[object, np.ndarray]] = {}
     mats = []
     for u in unitaries:
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (psi.site_dim, psi.site_dim):
-            raise ValueError("unitary has wrong shape for the site dimension")
-        # written so that a NaN defect fails too
-        if not unitarity_defect(u) <= UNITARITY_TOLERANCE:
-            raise ValueError("matrix is not unitary")
-        mats.append(u)
-    t = psi.tensor_view()
-    for site, u in enumerate(mats):
-        t = np.moveaxis(np.tensordot(u, t, axes=(1, site)), 0, site)
-    return MultipartiteState(psi.sites, psi.site_dim, t)
+        if id(u) not in checked:
+            checked[id(u)] = (u, _checked_unitary(u, d))
+        mats.append(checked[id(u)][1])
+    x = psi.coeffs.reshape(d, -1)
+    for s, u in enumerate(mats):
+        y = u @ x  # (site s, sites before s, sites after s)
+        if s + 1 < psi.sites:
+            x = y.reshape(d, d**s, d, -1).transpose(2, 1, 0, 3).reshape(d, -1)
+    return MultipartiteState(psi.sites, d, y.T)
+
+
+def _checked_unitary(u, d: int) -> np.ndarray:
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (d, d):
+        raise ValueError("unitary has wrong shape for the site dimension")
+    # written so that a NaN defect fails too
+    if not unitarity_defect(u) <= UNITARITY_TOLERANCE:
+        raise ValueError("matrix is not unitary")
+    return u
 
 
 @dataclass(frozen=True, eq=False)

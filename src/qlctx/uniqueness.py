@@ -8,27 +8,79 @@ every other site with a single possible outcome.
 
 The analysis here is exact on amplitudes (no sampling); an amplitude is
 treated as zero when its magnitude is not above the given tolerance.  The
-uniqueness check reads every possibility set from one d×d occupancy table
-per site pair, filled from the digit rows of the K remaining amplitudes in
-O(K·n²).  Filtering and completion share one gate that thresholds the
-observed level's slab of psi (a view of d^(n-1) amplitudes) once, and
-completion reads the other sites' levels from the digit rows of its mask;
-like the check, both threshold psi itself, at one tolerance.  The rotated
-check's identity entry is the check of psi itself, and its other entries
-come from ``states.identical_rotations``.
+uniqueness check one-hot encodes the digit rows of the K remaining
+amplitudes (n·d columns, decoded in blocks of fixed size) and reads every
+possibility set from the count matrix HᵀH of those rows, one BLAS product
+per block: entry (s·d + a, t·d + b) counts the terms with level a at site
+s and level b at site t.  Filtering and completion share one gate that
+thresholds the observed level's slab of psi (a view of d^(n-1) amplitudes)
+once, and completion reads the other sites' levels from the same one-hot
+rows of its mask; like the check, both threshold psi itself, at one
+tolerance.  The rotated check's identity entry is the check of psi itself,
+and its other entries come from ``states.identical_rotations``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import MultipartiteState, RotationSample, identical_rotations
+from .states import (SITE_LABELS, MultipartiteState, RotationSample,
+                     identical_rotations)
 
 
 class NullFilterError(ValueError):
     """Conditioning on an outcome of (numerically) zero probability."""
+
+
+# 512 rows of at most 32 columns are at most 128 KiB, so freed blocks are
+# reused from the heap; blocks of 4096 rows landed on freshly mapped pages
+# and made the check of a dense 12-site spin-1/2 state about twice as slow
+_HOT_BLOCK_ROWS = 512
+
+# the possibility set of a d-bit code: the labels of the levels whose bit is
+# set, in level order
+_NAMED_SETS = {
+    d: [tuple(lab for b, lab in enumerate(labels) if code >> b & 1)
+        for code in range(1 << d)]
+    for d, labels in SITE_LABELS.items()
+}
+
+
+def _hot_blocks(mask: np.ndarray, d: int) -> Iterator[np.ndarray]:
+    """One-hot digit rows of the amplitudes that ``mask`` (a tensor of
+    sites of dimension d) keeps, in flat-index order, as float64 blocks of
+    at most _HOT_BLOCK_ROWS rows: a row has a 1 in column s·d + a when its
+    amplitude has level a at site s.
+
+    A flat index is split at the middle site into a high and a low index,
+    and each part's columns are looked up in that part's table of digit
+    rows, so no digit is divided out per column.  The support is decoded
+    here alone, and no block grows with the number of kept amplitudes."""
+    n = mask.ndim
+    low = n // 2  # the sites that the low index numbers
+    high_rows, low_rows = _digit_rows(d, n - low), _digit_rows(d, low)
+    kept = np.flatnonzero(mask)
+    for start in range(0, kept.size, _HOT_BLOCK_ROWS):
+        high, rest = np.divmod(kept[start:start + _HOT_BLOCK_ROWS], d**low)
+        yield np.concatenate(
+            [high_rows.take(high, axis=0), low_rows.take(rest, axis=0)],
+            axis=1)
+
+
+def _digit_rows(d: int, m: int) -> np.ndarray:
+    """The d**m × (m·d) one-hot digit rows of every index of m sites."""
+    digits = np.indices((d,) * m).reshape(m, d**m).T
+    hits = digits[:, :, None] == np.arange(d)
+    return hits.reshape(d**m, m * d).astype(float)
+
+
+def _set_codes(hits: np.ndarray) -> list:
+    """The d-bit code of every level set along the last axis of a boolean
+    array, as nested lists: bit b is set when level b is in the set."""
+    return (hits @ (1 << np.arange(hits.shape[-1]))).tolist()
 
 
 def _above(amplitudes: np.ndarray, tol: float) -> np.ndarray:
@@ -112,28 +164,32 @@ def _possibilities(psi: MultipartiteState, tol: float) -> tuple[dict, int]:
     ``tol``, keyed (site, label) in site then level order, and the number
     of such amplitudes.
 
-    With the support's digit rows (one row of n levels per amplitude above
-    ``tol``), ``table[s, t, a, b]`` is True when some term has level a at
-    site s and level b at site t: one d×d table per site pair, filled in
-    O(K·n²) for K terms.  The diagonal ``table[s, s, a, a]`` says level a
-    is possible at site s.
+    With H the one-hot digit rows of the support (see ``_hot_blocks``),
+    the (n·d)² count matrix HᵀH is accumulated block by block, one BLAS
+    product each; ``occupied[s, a, t, b]`` is True when some term has level
+    a at site s and level b at site t.  The counts are integers no larger
+    than K, so float64 holds them exactly.  The diagonal
+    ``occupied[s, a, s, a]`` says level a is possible at site s.  Each
+    possibility set is read as a d-bit code and named from a table.
     """
-    digits = np.argwhere(_above(psi.tensor_view(), tol))
-    n, labels = psi.sites, psi.labels
-    table = np.zeros((n, n, psi.site_dim, psi.site_dim), dtype=bool)
-    sites = np.arange(n)
-    table[sites[:, None], sites, digits[:, :, None], digits[:, None, :]] = True
-    rows = table.tolist()
+    n, d = psi.sites, psi.site_dim
+    counts = np.zeros((n * d, n * d))
+    term_count = 0
+    for hot in _hot_blocks(_above(psi.tensor_view(), tol), d):
+        counts += hot.T @ hot
+        term_count += len(hot)
+    occupied = (counts > 0).reshape(n, d, n, d)
+    codes = _set_codes(occupied)
+    named = _NAMED_SETS[d]
     possibilities: dict[tuple[int, str], dict[int, tuple[str, ...]]] = {}
     for s in range(n):
-        for a, label in enumerate(labels):
-            if rows[s][s][a][a]:
+        for a, label in enumerate(psi.labels):
+            row = codes[s][a]
+            if row[s]:
                 possibilities[(s, label)] = {
-                    t: tuple(lab for lab, hit in zip(labels, rows[s][t][a]) if hit)
-                    for t in range(n)
-                    if t != s
+                    t: named[code] for t, code in enumerate(row) if t != s
                 }
-    return possibilities, len(digits)
+    return possibilities, term_count
 
 
 @dataclass(frozen=True)
@@ -190,15 +246,14 @@ def counterfactual_complete(
     Raises NullFilterError when the observed outcome has zero probability.
     """
     level, mask = _observed(psi, site, outcome, tol)
-    # the digit rows of the slab's mask hold the other sites' levels, in
-    # site order, of every amplitude above ``tol`` with the observed level
+    # the mask's axes are the other sites, in site order
+    d = psi.site_dim
+    seen = np.zeros((psi.sites - 1) * d, dtype=bool)
+    for hot in _hot_blocks(mask, d):
+        seen |= hot.any(axis=0)
+    codes = _set_codes(seen.reshape(-1, d))
     others = [t for t in range(psi.sites) if t != site]
-    seen = np.zeros((len(others), psi.site_dim), dtype=bool)
-    seen[np.arange(len(others)), np.argwhere(mask)] = True
-    sups = {
-        t: tuple(lab for lab, hit in zip(psi.labels, row) if hit)
-        for t, row in zip(others, seen.tolist())
-    }
+    sups = {t: _NAMED_SETS[d][code] for t, code in zip(others, codes)}
     determined = {t: v[0] for t, v in sups.items() if len(v) == 1}
     ambiguous = {t: v for t, v in sups.items() if len(v) != 1}
     return CounterfactualOutcome(site, psi.labels[level], determined,

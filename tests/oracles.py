@@ -6,8 +6,9 @@ oracle, the frozenset backtracker that the bitmask enumeration replaced,
 the random-diagram generator, the diagram families with closed-form
 state counts, the saturation scan, an exact check of integer witnesses,
 scipy's L-BFGS-B that the realization search replaced, spin states built
-from label words, and the numpy context operators that the pure-Python
-``contexts`` module replaced.
+from label words, the per-axis ``tensordot`` contraction that the plain
+matrix products of ``apply_local`` replaced, and the numpy context
+operators that the pure-Python ``contexts`` module replaced.
 """
 
 from __future__ import annotations
@@ -168,6 +169,16 @@ def from_terms(sites: int, site_dim: int, terms) -> MultipartiteState:
             idx = idx * site_dim + labels.index(ch)
         c[idx] += amp
     return MultipartiteState(sites, site_dim, c)
+
+
+def reference_apply_local(psi: MultipartiteState, unitaries) -> np.ndarray:
+    """(U_1 ⊗ ... ⊗ U_n) psi as the unnormalized coefficient vector, one
+    ``tensordot`` of each unitary with its own axis of the tensor."""
+    t = psi.tensor_view()
+    for site, u in enumerate(unitaries):
+        u = np.asarray(u, dtype=complex)
+        t = np.moveaxis(np.tensordot(u, t, axes=(1, site)), 0, site)
+    return t.reshape(-1)
 
 
 def reference_saturate_orthogonality(diagram: GreechieDiagram):

@@ -30,3 +30,30 @@ def test_traced_names_resolve():
     missing = [f"{module}.{attr}" for module, attr in wrapped
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_traced_spin_layers_are_reached(monkeypatch):
+    # the tracer sees a layer only when qlctx calls it through its module
+    # attribute; a call bound any other way would leave the traced spin
+    # layers reading 0 on working code
+    from qlctx import states, uniqueness
+
+    calls = {"apply_local": 0, "check_uniqueness": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(states, "apply_local")
+    counted(uniqueness, "check_uniqueness")
+    psi = states.catalog_state("psi2")
+    uniqueness.check_uniqueness_rotated(psi, 2)
+    assert calls == {"apply_local": 2, "check_uniqueness": 3}
+    calls.update(apply_local=0, check_uniqueness=0)
+    states.is_form_invariant(psi, 2)
+    assert calls == {"apply_local": 2, "check_uniqueness": 0}

@@ -24,7 +24,7 @@ from qlctx.states import (
     write_qs,
 )
 
-from oracles import from_terms
+from oracles import from_terms, reference_apply_local
 
 
 def dense_singlet_kernel(d, n):
@@ -253,6 +253,55 @@ class TestLocalRotations:
         with pytest.raises(ValueError, match="one unitary per site"):
             apply_local(psi, [np.eye(3)])
 
+    @pytest.mark.parametrize("d, n", [(2, 12), (3, 7), (3, 4), (3, 8)])
+    def test_bit_identical_to_tensordot(self, d, n):
+        # BLAS rounds the columns of a ragged last block apart from the
+        # rest, so the contraction must hand each product its columns in
+        # the order tensordot does; for spin 1 an even n shows a wrong order
+        rng = np.random.default_rng(10 * d + n)
+        c = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+        psi = MultipartiteState(n, d, c)
+        u = rotation_unitary(d, rng.standard_normal(3), rng.uniform(0, 7))
+        mixed = [random_unitary(d, rng) for _ in range(n)]
+        for mats in ([u] * n, mixed):
+            want = MultipartiteState(n, d, reference_apply_local(psi, mats))
+            assert np.array_equal(apply_local(psi, mats).coeffs, want.coeffs)
+
+    @pytest.mark.parametrize("name", ["psi2", "psi3", "psi4_1", "psi4_2",
+                                      "psi4_3", "ghzm"])
+    def test_catalog_bit_identical_to_tensordot(self, name):
+        psi = catalog_state(name)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            mats = [random_unitary(psi.site_dim, rng) for _ in range(psi.sites)]
+            for each in (mats, [mats[0]] * psi.sites):
+                want = MultipartiteState(psi.sites, psi.site_dim,
+                                         reference_apply_local(psi, each))
+                assert np.array_equal(apply_local(psi, each).coeffs,
+                                      want.coeffs)
+
+    def test_each_distinct_unitary_is_checked_once(self, monkeypatch):
+        calls = []
+        defect = states.unitarity_defect
+        monkeypatch.setattr(states, "unitarity_defect",
+                            lambda u: calls.append(u) or defect(u))
+        psi = from_terms(7, 3, [(1, "+0-+0-+")])
+        u, v = rotation_unitary(3, [1, 0, 0], 0.3), np.eye(3)
+        apply_identical_local(psi, u)
+        assert len(calls) == 1
+        apply_local(psi, [u, v, u, v, u, u, u])
+        assert len(calls) == 3
+
+    def test_stacked_unitaries_are_each_checked(self):
+        # iterating a stacked array gives a fresh view per site, and a view
+        # freed early could lend its id to the next site's matrix
+        psi = catalog_state("psi3")
+        swap = np.eye(3)[[1, 0, 2]]
+        assert apply_local(psi, np.stack([swap, swap, swap])).overlap(
+            apply_identical_local(psi, swap)) == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="matrix is not unitary"):
+            apply_local(psi, np.stack([swap, swap.T, 2 * swap]))
+
     def test_twelve_site_rotation_stays_small(self):
         # the Kronecker product of 12 spin-1/2 sites is a 256 MB matrix
         psi = from_terms(12, 2, [(1, "+" * 12), (1, "-" * 12)])
@@ -438,6 +487,12 @@ class TestStateValue:
         # 2**100000 has more digits than Python converts to a string
         with pytest.raises(ValueError, match=f"length 1, expected {expected}$"):
             MultipartiteState(sites, 2, np.ones(1))
+
+    @pytest.mark.parametrize("outcome", [True, False, np.True_])
+    def test_bool_outcome_refused(self, outcome):
+        # True would otherwise be read as level 1, the label '0'
+        with pytest.raises(ValueError, match="is a bool"):
+            catalog_state("psi2").label_index(outcome)
 
     def test_coeffs_read_only(self):
         psi = catalog_state("psi2")

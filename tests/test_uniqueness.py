@@ -125,6 +125,23 @@ class TestCheckUniqueness:
                 call()
         assert check_uniqueness(psi, tol=0.0).term_count == 3
 
+    @pytest.mark.parametrize("d, n, bound_mib", [(2, 16, 16), (3, 10, 9)])
+    def test_dense_state_peak_memory(self, d, n, bound_mib):
+        # the support is decoded in blocks of digit rows; a K×n matrix of
+        # the digits of every amplitude peaks at 16.1 and 9.1 MiB on these
+        # states
+        rng = np.random.default_rng(n)
+        psi = MultipartiteState(
+            n, d, rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n))
+        tracemalloc.start()
+        try:
+            report = check_uniqueness(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.term_count == d**n and not report.overall
+        assert peak < bound_mib * 2**20
+
     def test_unique_implies_term_count_at_most_dim(self):
         for name in CATALOG:
             psi = catalog_state(name)
@@ -249,6 +266,13 @@ class TestCounterfactual:
                 tracemalloc.stop()
             assert out.complete and len(out.determined) == 11
             assert peak < 3e6
+
+    def test_bool_outcome_is_refused(self):
+        # True is no label, and as level 1 it would mean '0'
+        psi = catalog_state("psi2")
+        for call in (counterfactual_complete, filter_outcome):
+            with pytest.raises(ValueError, match="is a bool"):
+                call(psi, 1, True)
 
     def test_agrees_with_possibility_sets(self):
         # completion succeeds exactly when every possibility set is a singleton
