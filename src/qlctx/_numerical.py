@@ -12,9 +12,10 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from ._records import ByIdentity
 
 
 def _apply_j(v: np.ndarray) -> np.ndarray:
@@ -82,15 +83,11 @@ SUFFICIENT_DECREASE = 1e-3
 LINE_SEARCH_EVALS = 20
 
 
-@dataclass(frozen=True, eq=False)
-class Minimum:
+class Minimum(ByIdentity, collections.namedtuple("Minimum", "x fun nit nfev")):
     """Where ``minimize`` stopped: every row's end point (R, N) and value
     (R,), and the iterations and function evaluations of all rows."""
 
-    x: np.ndarray
-    fun: np.ndarray
-    nit: int
-    nfev: int
+    __slots__ = ()
 
 
 def _line_search(x, f0, g0, d, step):

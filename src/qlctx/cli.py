@@ -15,9 +15,12 @@ Only ``_text`` (pure Python) and the standard library are imported here.
 diagram or a probability, numpy and the other engine modules by the
 commands that use them, so a command pays start-up only for what it runs.
 ``context op`` and ``split`` run on the pure-Python ``contexts`` and load
-neither numpy nor ``logic``.  ``realize`` loads numpy only when its search
-reaches the numerical stage: a diagram refuted by a proof or realized by an
-integer witness runs in pure Python.
+neither numpy nor ``logic``.  ``catalog`` reads its bundled .qs file with
+``_text`` and normalizes it in pure Python, so it loads neither numpy nor
+``states``.  ``realize`` loads numpy only when its search reaches the
+numerical stage: a diagram refuted by a proof or realized by an integer
+witness runs in pure Python.  So only ``uniq check``, ``singlet`` and that
+stage of ``realize`` load numpy.
 """
 
 from __future__ import annotations
@@ -77,9 +80,10 @@ def _write(text: str) -> None:
 
 
 def _load(path: str, reader):
-    """``reader`` applied to the text of a file; errors name the file."""
+    """``reader`` applied to the text of a UTF-8 file, less a leading byte
+    order mark (some editors write one); errors name the file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     with _usage_errors(path):
@@ -136,9 +140,9 @@ def _matrix_lines(matrix) -> list:
             for row in matrix]
 
 
-def _terms_payload(psi) -> list:
+def _terms_payload(terms) -> list:
     return [{"re": amp.real, "im": amp.imag, "indices": list(digits)}
-            for amp, digits in psi.terms()]
+            for amp, digits in terms]
 
 
 # --- states enumerate / classify -----------------------------------------
@@ -400,19 +404,50 @@ def uniq_check(state_file, rotations, seed, tol, as_json):
 
 def catalog(name, outfile, as_json):
     """Emit a catalog state (psi2, psi3, psi4_1..3, ghzm) as .qs text."""
-    from . import states as statemod
+    from . import corpus
 
     with _usage_errors():
-        psi = statemod.catalog_state(name)
-    qs = statemod.write_qs(psi, comment=f"catalog state {name}")
+        text = corpus.catalog_text(name)
+    sites, dim, amps = _text.parse_qs(text)
+    terms = _normalized_terms(sites, dim, amps)
+    qs = _text.format_qs(sites, dim, terms, comment=f"catalog state {name}")
     payload = {
         "name": name,
-        "sites": psi.sites,
-        "dim": psi.site_dim,
-        "terms": _terms_payload(psi),
+        "sites": sites,
+        "dim": dim,
+        "terms": _terms_payload(terms),
     }
     _report(as_json, payload, None if outfile else qs,
             artefact=qs, outfile=outfile)
+
+
+def _normalized_terms(sites: int, dim: int, amps: dict) -> list:
+    """The (amplitude, site digits) pairs that ``terms()`` of the state
+    built from ``amps`` yields, bit for bit, computed without numpy.
+
+    numpy's norm of a complex vector adds the squared real parts, then the
+    squared imaginary parts, each in flat-index order, and its division of
+    a complex vector by a real norm multiplies by the reciprocal; both are
+    done the same way here.  A parsed amplitude is a sum from 0j, so no
+    part of it is -0.0, and the product needs no care for signed zeros.
+    """
+    order = sorted(amps)
+    re2 = im2 = 0.0
+    for idx in order:
+        amp = amps[idx]
+        re2 += amp.real * amp.real
+        im2 += amp.imag * amp.imag
+    scale = 1.0 / math.sqrt(re2 + im2)
+    terms = []
+    for idx in order:
+        amp = amps[idx] * scale
+        if abs(amp) > _text.TERM_CUTOFF:
+            digits = []
+            for _ in range(sites):
+                idx, k = divmod(idx, dim)
+                digits.append(k)
+            terms.append((amp, tuple(reversed(digits))))
+    return terms
 
 
 def singlet(dim, sites, as_json):
@@ -425,7 +460,7 @@ def singlet(dim, sites, as_json):
         "dim": dim,
         "sites": sites,
         "count": len(basis),
-        "states": [_terms_payload(psi) for psi in basis],
+        "states": [_terms_payload(psi.terms()) for psi in basis],
     }
     text = (f"{len(basis)} singlet state(s) for {sites} site(s) of dimension {dim}\n"
             + "".join(f"# state {i}\n" + statemod.write_qs(psi)

@@ -3,7 +3,8 @@ is told in ``data/README.md``.
 
 Importing this module loads neither ``logic`` nor numpy: the pure-Python
 diagram parser is imported when a diagram entry is loaded, and the numpy
-state reader when a state entry is loaded.
+state reader when a state entry is loaded.  ``catalog_text`` only reads a
+state's file.
 """
 
 from __future__ import annotations
@@ -28,6 +29,16 @@ def _data(entry_id: str):
 def data_path(entry_id: str) -> str:
     """Filesystem path of a corpus file (the package ships as plain files)."""
     return str(_data(entry_id))
+
+
+def catalog_text(name: str) -> str:
+    """The .qs text of catalog state ``name``; ValueError naming the
+    catalog for any other name."""
+    if name not in STATE_IDS:
+        raise ValueError(
+            f"unknown catalog state {name!r}; choose from {STATE_IDS}"
+        )
+    return _data(name).read_text(encoding="utf-8")
 
 
 def load(entry_id: str):

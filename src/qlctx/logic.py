@@ -26,7 +26,6 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _text
@@ -45,12 +44,12 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class GreechieDiagram:
-    atoms: tuple[str, ...]
-    contexts: tuple[tuple[str, ...], ...]
-    dim: int
-    name: str | None = None
+class GreechieDiagram(collections.namedtuple(
+        "GreechieDiagram", "atoms contexts dim name", defaults=(None,))):
+    """Atom names in order, contexts as tuples of atoms, the context size
+    ``dim``, and the diagram's name or None."""
+
+    __slots__ = ()
 
 
 def make_diagram(contexts, name=None, atoms=None, _lines=None) -> GreechieDiagram:
@@ -257,8 +256,9 @@ def _pairs_in(diagram: GreechieDiagram, masks) -> list[tuple[str, str]]:
     return [(diagram.atoms[i], diagram.atoms[j]) for i, j in pairs]
 
 
-@dataclass(frozen=True)
-class StateSetClassification:
+class StateSetClassification(collections.namedtuple(
+        "StateSetClassification", "kind witness_atoms witness_pairs state_count",
+        defaults=((), (), 0))):
     """Scarcity class of the two-valued state set, plus its witnesses.
 
     kind is one of 'nonexistent', 'nonunital', 'unital_nonseparating',
@@ -267,10 +267,7 @@ class StateSetClassification:
     the number of two-valued states the classification rests on.
     """
 
-    kind: str
-    witness_atoms: tuple[str, ...] = ()
-    witness_pairs: tuple[tuple[str, str], ...] = ()
-    state_count: int = 0
+    __slots__ = ()
 
 
 def classify(diagram: GreechieDiagram) -> StateSetClassification:
@@ -300,8 +297,9 @@ def classify(diagram: GreechieDiagram) -> StateSetClassification:
 # --- classical polytope membership ----------------------------------------
 
 
-@dataclass(frozen=True)
-class HullMembership:
+class HullMembership(collections.namedtuple(
+        "HullMembership", "inside states weights functional offset margin",
+        defaults=(None, None, None, None))):
     """Outcome of a convex-hull membership test over the two-valued states.
 
     For an inside verdict, ``weights`` is an exact convex combination
@@ -310,12 +308,7 @@ class HullMembership:
     state while f(p) = offset + margin with margin > 0.
     """
 
-    inside: bool
-    states: tuple[TwoValuedState, ...]
-    weights: tuple[Fraction, ...] | None = None
-    functional: dict[str, Fraction] | None = None
-    offset: Fraction | None = None
-    margin: Fraction | None = None
+    __slots__ = ()
 
 
 def _to_fraction(x) -> Fraction:

@@ -41,15 +41,15 @@ are pure Python.
 from __future__ import annotations
 
 import cmath
+import collections
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _text
+from ._records import ByIdentity
 from .logic import GreechieDiagram, orthogonal_pairs
-from .saturation import (SaturationOutcome, check_margin, integer_witness,
-                         saturate_orthogonality)
+from .saturation import check_margin, integer_witness, saturate_orthogonality
 
 DISTINCTNESS_MARGIN = 0.05
 SUCCESS_PENALTY = 1e-12
@@ -70,8 +70,8 @@ MAX_COORDINATES = 1 << 18
 # --- realization search ------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Realization:
+class Realization(ByIdentity, collections.namedtuple(
+        "Realization", "vectors space", defaults=("real",))):
     """A vector per atom; ``space`` records whether imag parts are used.
 
     Every realization qlctx builds (a search's witness, a loaded file) holds
@@ -82,19 +82,16 @@ class Realization:
     exactly.
     """
 
-    vectors: dict[str, tuple[complex, ...]]
-    space: str = "real"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OversizedContext:
+class OversizedContext(collections.namedtuple(
+        "OversizedContext", "number atoms dim")):
     """Proof that no realization exists in ``dim`` dimensions: context
     ``number`` (counted from 1) has more atoms than ``dim`` mutually
     orthogonal vectors can fill."""
 
-    number: int
-    atoms: tuple[str, ...]
-    dim: int
+    __slots__ = ()
 
     def render(self) -> str:
         k = len(self.atoms)
@@ -104,20 +101,15 @@ class OversizedContext:
                 "mutually orthogonal vectors")
 
 
-@dataclass(frozen=True, eq=False)
-class SearchResult:
+class SearchResult(ByIdentity, collections.namedtuple(
+        "SearchResult", "success realization penalty restart_penalties "
+        "best_restart refutation integer_witness", defaults=(None, None))):
     """A search's verdict.  A refuted diagram has ``refutation`` set, a
     penalty of inf, no restart penalties and no best restart.  A witness of
     the exact stage has its integer vectors in ``integer_witness``, a
     penalty of 0, no restart penalties and no best restart."""
 
-    success: bool
-    realization: Realization | None
-    penalty: float
-    restart_penalties: tuple[float, ...]
-    best_restart: int | None
-    refutation: OversizedContext | SaturationOutcome | None = None
-    integer_witness: dict[str, tuple[int, int, int]] | None = None
+    __slots__ = ()
 
 
 def search_realization(

@@ -20,32 +20,30 @@ from __future__ import annotations
 
 import collections
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .logic import GreechieDiagram, link_atoms, orthogonal_pairs
 
 
-@dataclass(frozen=True)
-class SaturationStep:
+class SaturationStep(collections.namedtuple(
+        "SaturationStep", "collinear pair reasons orthogonal", defaults=(True,))):
     """Atoms ``collinear`` are both orthogonal to the two distinct atoms
     ``pair``; ``orthogonal`` says whether the pair shares a context too.
     ``reasons`` cite a context for each orthogonality used."""
 
-    collinear: tuple[str, str]
-    pair: tuple[str, str]
-    reasons: tuple[str, ...]
-    orthogonal: bool = True
+    __slots__ = ()
 
     @property
     def orthogonal_pair(self) -> tuple[str, str] | None:
         return self.pair if self.orthogonal else None
 
 
-@dataclass(frozen=True)
-class SaturationOutcome:
-    verdict: str  # "contradiction" | "no_contradiction"
-    derivation: tuple[SaturationStep, ...] = ()
+class SaturationOutcome(collections.namedtuple(
+        "SaturationOutcome", "verdict derivation", defaults=((),))):
+    """``verdict`` is "contradiction" or "no_contradiction"; a
+    contradiction's ``derivation`` is its SaturationSteps in order."""
+
+    __slots__ = ()
 
     def render(self) -> str:
         if self.verdict == "no_contradiction":

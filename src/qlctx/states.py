@@ -19,20 +19,21 @@ check draw their rotations from one seeded stream.
 
 from __future__ import annotations
 
+import collections
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from . import _text
+from ._records import ByIdentity
+from ._text import TERM_CUTOFF
 
 SITE_LABELS = {2: ("+", "-"), 3: ("+", "0", "-")}
 
 MAX_TOTAL_DIM = 10_000
 
 KERNEL_TOLERANCE = 1e-9
-TERM_CUTOFF = 1e-12
 UNITARITY_TOLERANCE = 1e-9
 INVARIANCE_TOLERANCE = 1e-9
 
@@ -106,21 +107,19 @@ def _check_site_space(d: int, n: int) -> None:
         raise ValueError("state needs at least one site")
 
 
-@dataclass(frozen=True, eq=False)
-class MultipartiteState:
+class MultipartiteState(ByIdentity, collections.namedtuple(
+        "MultipartiteState", "sites site_dim coeffs")):
     """Pure state of ``sites`` quanta with ``site_dim`` levels each.
 
     The coefficient vector is normalized on construction and then frozen.
     """
 
-    sites: int
-    site_dim: int
-    coeffs: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        d, n = self.site_dim, self.sites
+    def __new__(cls, sites, site_dim, coeffs):
+        d, n = site_dim, sites
         _check_site_space(d, n)
-        c = np.asarray(self.coeffs, dtype=complex).reshape(-1).copy()
+        c = np.asarray(coeffs, dtype=complex).reshape(-1).copy()
         # d >= 2, so past 64 sites d**n exceeds any array length; naming it
         # there keeps a huge n from building and printing a huge integer
         if n > 64 or c.size != d**n:
@@ -134,7 +133,17 @@ class MultipartiteState:
             raise ValueError(_norm_error(c, norm))
         c /= norm
         c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        return super().__new__(cls, sites, site_dim, c)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through here: it must normalize too
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # a copy or an unpickled state keeps its coefficients' bits, which
+        # normalizing them a second time could change
+        return tuple.__new__, (type(self), tuple(self))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -198,11 +207,7 @@ def catalog_state(name: str) -> MultipartiteState:
     """
     from . import corpus
 
-    if name not in corpus.STATE_IDS:
-        raise ValueError(
-            f"unknown catalog state {name!r}; choose from {corpus.STATE_IDS}"
-        )
-    return corpus.load(name)
+    return read_qs(corpus.catalog_text(name))
 
 
 def _site_operator(single: np.ndarray, site: int, sites: int) -> np.ndarray:
@@ -332,13 +337,11 @@ def _checked_unitary(u, d: int) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True, eq=False)
-class RotationSample:
+class RotationSample(ByIdentity, collections.namedtuple(
+        "RotationSample", "axis angle unitary")):
     """One sampled spin rotation: axis, angle, and the site-space unitary."""
 
-    axis: tuple[float, float, float]
-    angle: float
-    unitary: np.ndarray
+    __slots__ = ()
 
 
 def sample_rotation(d: int, rng: np.random.Generator) -> RotationSample:
@@ -378,63 +381,23 @@ def is_form_invariant(
     return worst >= 1.0 - INVARIANCE_TOLERANCE, worst
 
 
-# --- .qs state file format ----------------------------------------------
-#
-#   # comment
-#   sites <n>
-#   dim <d>
-#   <re> <im> <i1> ... <in>     one term per line, site indices in 0..d-1
-#
-# Amplitudes may be unnormalized; the state is normalized on load.
+# --- .qs state files: the format is read and written by ``_text`` ---------
 
 
-@np.errstate(over="ignore")  # a sum past the float range is named on construction
+def _check_qs_space(sites: int, dim: int) -> None:
+    if dim not in SITE_LABELS:
+        raise ValueError(f"unsupported dim {dim}")
+    _check_total_dim(dim, sites)
+
+
 def read_qs(text: str) -> MultipartiteState:
     """Parse the .qs state format; raises ValueError with a line number."""
-    sites = dim = coeffs = None
-    for lineno, tokens in _text.lines(text):
-        try:
-            if sites is None:
-                if tokens[0] != "sites" or len(tokens) != 2:
-                    raise ValueError("expected 'sites <n>'")
-                sites = int(tokens[1])
-                if sites < 1:
-                    raise ValueError(f"sites must be >= 1, got {sites}")
-            elif dim is None:
-                if tokens[0] != "dim" or len(tokens) != 2:
-                    raise ValueError("expected 'dim <d>'")
-                dim = int(tokens[1])
-                if dim not in SITE_LABELS:
-                    raise ValueError(f"unsupported dim {dim}")
-                _check_total_dim(dim, sites)
-                coeffs = np.zeros(dim**sites, dtype=complex)
-            else:
-                if len(tokens) != 2 + sites:
-                    raise ValueError(f"expected 're im' plus {sites} site indices")
-                amp = complex(_text.finite(tokens[0]), _text.finite(tokens[1]))
-                idx = 0
-                for k in map(int, tokens[2:]):
-                    if not 0 <= k < dim:
-                        raise ValueError(f"site index out of range 0..{dim - 1}")
-                    idx = idx * dim + k
-                coeffs[idx] += amp
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    if coeffs is None:
-        raise ValueError("missing 'sites'/'dim' header")
-    if not np.any(coeffs):
-        raise ValueError("state file contains no terms")
+    sites, dim, amps = _text.parse_qs(text, _check_qs_space)
+    coeffs = np.zeros(dim**sites, dtype=complex)
+    coeffs[list(amps)] = list(amps.values())
     return MultipartiteState(sites, dim, coeffs)
 
 
 def write_qs(psi: MultipartiteState, comment: str | None = None) -> str:
     """Serialize a state in the .qs format (normalized amplitudes)."""
-    lines = []
-    if comment:
-        for piece in comment.splitlines():
-            lines.append(f"# {piece}")
-    lines.append(f"sites {psi.sites}")
-    lines.append(f"dim {psi.site_dim}")
-    for amp, digits in psi.terms():
-        lines.append(f"{amp.real!r} {amp.imag!r} " + " ".join(map(str, digits)))
-    return "\n".join(lines) + "\n"
+    return _text.format_qs(psi.sites, psi.site_dim, psi.terms(), comment)

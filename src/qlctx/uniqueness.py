@@ -22,8 +22,8 @@ and its other entries come from ``states.identical_rotations``.
 
 from __future__ import annotations
 
+import collections
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,20 +121,22 @@ def filter_outcome(
     return MultipartiteState(psi.sites, psi.site_dim, projected.reshape(-1))
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(collections.namedtuple(
+        "UniquenessReport", "site_verdicts possibilities term_count",
+        defaults=(0,))):
     """Per-site uniqueness verdicts plus the conditioned possibility sets.
 
     ``possibilities[(s, outcome)][t]`` is the tuple of outcomes that remain
     possible at site t once site s has yielded ``outcome``; only outcomes of
-    nonzero probability at s appear as keys.
+    nonzero probability at s appear as keys.  The repr leaves
+    ``possibilities`` out.
     """
 
-    site_verdicts: tuple[bool, ...]
-    possibilities: dict[tuple[int, str], dict[int, tuple[str, ...]]] = field(
-        repr=False
-    )
-    term_count: int = 0
+    __slots__ = ()
+
+    def __repr__(self):
+        return (f"UniquenessReport(site_verdicts={self.site_verdicts!r}, "
+                f"term_count={self.term_count!r})")
 
     @property
     def overall(self) -> bool:
@@ -192,10 +194,11 @@ def _possibilities(psi: MultipartiteState, tol: float) -> tuple[dict, int]:
     return possibilities, term_count
 
 
-@dataclass(frozen=True)
-class RotatedUniqueness:
-    rotation: RotationSample
-    report: UniquenessReport
+class RotatedUniqueness(collections.namedtuple(
+        "RotatedUniqueness", "rotation report")):
+    """A RotationSample and the UniquenessReport of the rotated state."""
+
+    __slots__ = ()
 
 
 def check_uniqueness_rotated(
@@ -220,18 +223,15 @@ def check_uniqueness_rotated(
     return out
 
 
-@dataclass(frozen=True)
-class CounterfactualOutcome:
+class CounterfactualOutcome(collections.namedtuple(
+        "CounterfactualOutcome", "site outcome determined ambiguous")):
     """Result of completing a state from one site's outcome.
 
     ``determined`` maps every other site to its forced outcome; sites whose
     outcome is not forced appear in ``ambiguous`` with their possibility set.
     """
 
-    site: int
-    outcome: str
-    determined: dict[int, str]
-    ambiguous: dict[int, tuple[str, ...]]
+    __slots__ = ()
 
     @property
     def complete(self) -> bool:

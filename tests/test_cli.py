@@ -1,3 +1,4 @@
+import codecs
 import io
 import json
 import os
@@ -14,9 +15,9 @@ import numpy as np
 import pytest
 
 from qlctx import corpus
-from qlctx.cli import main
+from qlctx.cli import _terms_payload, main
 from qlctx.realizability import load_realization, verify_realization
-from qlctx.states import catalog_state, read_qs, singlet_subspace
+from qlctx.states import catalog_state, read_qs, singlet_subspace, write_qs
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -386,7 +387,24 @@ class TestStateConstructors:
 
     def test_catalog_unknown_name(self):
         result = run("catalog", "psi9")
-        assert result.exit_code == 2
+        assert_usage_error(result, "Error: unknown catalog state 'psi9'; choose "
+                                   f"from {corpus.STATE_IDS}\n")
+
+    @pytest.mark.parametrize("name", corpus.STATE_IDS)
+    def test_catalog_prints_what_the_numpy_state_prints(self, tmp_path, name):
+        # catalog normalizes in pure Python; its text, JSON and -o file are
+        # those of the MultipartiteState that catalog_state builds
+        psi = catalog_state(name)
+        qs = write_qs(psi, comment=f"catalog state {name}")
+        payload = {"name": name, "sites": psi.sites, "dim": psi.site_dim,
+                   "terms": _terms_payload(psi.terms())}
+        assert run("catalog", name).output == qs
+        result = run("catalog", name, "--json")
+        assert result.output == json.dumps(payload, indent=2) + "\n"
+        out = tmp_path / f"{name}.qs"
+        result = run("catalog", name, "-o", out)
+        assert result.exit_code == 0 and result.output == ""
+        assert out.read_text(encoding="utf-8") == qs
 
     def test_catalog_json(self):
         for name in ("psi3", "psi4_1", "psi4_2", "psi4_3", "ghzm"):
@@ -720,6 +738,20 @@ class TestBadInputExits2:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.decode("utf-8").startswith("atoms: α β γ\n")
 
+    @pytest.mark.parametrize("args,entry", [
+        (("states", "enumerate", "{}", "--json"), "fig1"),
+        (("uniq", "check", "{}", "--json"), "psi2"),
+    ])
+    def test_input_with_a_byte_order_mark(self, tmp_path, args, entry):
+        # some editors start a UTF-8 file with a byte order mark; it is not
+        # part of the first directive
+        plain = corpus.data_path(entry)
+        marked = tmp_path / Path(plain).name
+        marked.write_bytes(codecs.BOM_UTF8 + Path(plain).read_bytes())
+        result = run(*(a.format(marked) for a in args))
+        assert result.exit_code == 0, result.output
+        assert result.output == run(*(a.format(plain) for a in args)).output
+
     def test_catalog_unwritable_output(self, tmp_path):
         out = tmp_path / "missing" / "psi2.qs"
         result = run("catalog", "psi2", "-o", out)
@@ -856,6 +888,37 @@ class TestLeanImports:
                            f"from qlctx.cli import main\nmain({args!r})")
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout == (GOLDEN / golden).read_text()
+
+    def test_catalog_leaves_out_numpy_and_states(self, tmp_path):
+        for args in (["catalog", "psi3", "--json"],
+                     ["catalog", "psi2", "-o", str(tmp_path / "psi2.qs")]):
+            code = f"from qlctx.cli import main\nmain({args!r})"
+            assert _heavy_modules_after(code, ["numpy", "qlctx.states"]) == [], args
+
+    def test_catalog_runs_with_numpy_unimportable(self):
+        for args, golden in ((["catalog", "psi3", "--json"], "catalog_psi3.json"),
+                             (["catalog", "psi2"], "catalog_psi2.qs")):
+            proc = _python("import sys\nsys.modules['numpy'] = None\n"
+                           f"from qlctx.cli import main\nmain({args!r})")
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == (GOLDEN / golden).read_text()
+
+    def test_pure_python_commands_leave_out_dataclasses(self, tmp_path):
+        # dataclasses imports inspect, ast, dis and tokenize: the records
+        # are named tuples, so no command pays for that at start-up
+        for args in (["states", "enumerate", "@fig1"],
+                     ["states", "classify", "@fig1"],
+                     ["hull", "@fig1", "--p", "A=1"],
+                     ["render", "@fig1"],
+                     ["saturate", "@fig2a"],
+                     ["realize", "@fig2a", "--dim", "3", "--json"],
+                     ["context", "op", "--phi", "0.5"],
+                     ["split", "--matrix", self._matrix_file(tmp_path)],
+                     ["catalog", "psi3", "--json"]):
+            args = [corpus.data_path(a[1:]) if a.startswith("@") else a
+                    for a in args]
+            code = f"from qlctx.cli import main\nmain({args!r})"
+            assert _heavy_modules_after(code, ["dataclasses"]) == [], args
 
     def test_realizability_import_leaves_out_numpy(self):
         assert _heavy_modules_after("import qlctx.realizability") == []

@@ -19,6 +19,21 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_dataclasses_import():
+    # the records are named tuples: importing dataclasses would load
+    # inspect, ast, dis and tokenize into every command
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom)
+                     else [])
+            if "dataclasses" in names:
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert found == []
+
+
 def test_traced_names_resolve():
     # the benchmark's tracer replaces these module attributes by name, so a
     # moved or renamed function would otherwise fail only in a traced run;

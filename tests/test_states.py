@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 import warnings
 from functools import reduce
@@ -493,6 +495,25 @@ class TestStateValue:
         # True would otherwise be read as level 1, the label '0'
         with pytest.raises(ValueError, match="is a bool"):
             catalog_state("psi2").label_index(outcome)
+
+    def test_replace_builds_a_checked_state(self):
+        # a named tuple's _replace goes through the constructor's checks
+        psi = catalog_state("psi2")._replace(site_dim=2, sites=1, coeffs=[3, 4])
+        assert np.allclose(psi.coeffs, [0.6, 0.8])
+        assert not psi.coeffs.flags.writeable
+        with pytest.raises(ValueError, match="has length 9, expected 3"):
+            catalog_state("psi2")._replace(sites=1)
+
+    def test_copies_keep_the_coefficients(self):
+        # a copy must not normalize again: that can move the last bit
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            psi = MultipartiteState(3, 3, rng.standard_normal(27)
+                                    + 1j * rng.standard_normal(27))
+            for again in (copy.copy(psi), copy.deepcopy(psi),
+                          pickle.loads(pickle.dumps(psi))):
+                assert type(again) is MultipartiteState and again is not psi
+                assert again.coeffs.tobytes() == psi.coeffs.tobytes()
 
     def test_coeffs_read_only(self):
         psi = catalog_state("psi2")
