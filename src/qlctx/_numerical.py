@@ -24,7 +24,7 @@ def _apply_j(v: np.ndarray) -> np.ndarray:
     return np.concatenate([v[..., d:], -v[..., :d]], axis=-1)
 
 
-def _penalty_parts(vm, orth_mask, offdiag, t2, complex_space):
+def _penalty_parts(vm, orth_mask, t2, complex_space):
     """Overlap parts and penalty of stacked unit vectors ``vm`` (R, n, w).
 
     Returns c = Re<u, v>, s = Im<u, v> (None in real space), the active
@@ -41,7 +41,7 @@ def _penalty_parts(vm, orth_mask, offdiag, t2, complex_space):
         s = vm @ _apply_j(vm).transpose(0, 2, 1)
         m += s * s
     excess = m - t2
-    active = (excess > 0.0) & offdiag
+    active = (excess > 0.0) & ~np.eye(len(orth_mask), dtype=bool)
     hinge = excess[active].tolist()
     ends = itertools.accumulate(np.count_nonzero(active, axis=(1, 2)).tolist())
     pens, start = [], 0
@@ -51,14 +51,13 @@ def _penalty_parts(vm, orth_mask, offdiag, t2, complex_space):
     return c, s, active, np.array(pens)
 
 
-def value_and_grad(x, n, width, orth_mask, offdiag, t2, complex_space):
-    """Penalties (R,) and gradients (R, N) of R stacked points (R, N)."""
-    xm = x.reshape(len(x), n, width)
+def value_and_grad(x, orth_mask, t2, complex_space):
+    """Penalties (R,) and gradients (R, N) of R stacked points (R, N), each
+    the n vectors of the n × n ``orth_mask`` laid end to end."""
+    xm = x.reshape(len(x), len(orth_mask), -1)
     norms = np.linalg.norm(xm, axis=2, keepdims=True)
     vm = xm / norms
-    c, s, active, penalty = _penalty_parts(
-        vm, orth_mask, offdiag, t2, complex_space
-    )
+    c, s, active, penalty = _penalty_parts(vm, orth_mask, t2, complex_space)
     omega = orth_mask.astype(float) + active
     gv = 2.0 * (omega * c) @ vm
     if complex_space:

@@ -15,8 +15,8 @@ Only ``_text`` (pure Python) and the standard library are imported here.
 diagram or a probability, numpy and the other engine modules by the
 commands that use them, so a command pays start-up only for what it runs.
 ``context op`` and ``split`` run on the pure-Python ``contexts`` and load
-neither numpy nor ``logic``.  ``catalog`` reads its bundled .qs file with
-``_text`` and normalizes it in pure Python, so it loads neither numpy nor
+neither numpy nor ``logic``.  ``catalog`` reads, checks and normalizes
+its bundled .qs file with ``_text``, so it loads neither numpy nor
 ``states``.  ``realize`` loads numpy only when its search reaches the
 numerical stage: a diagram refuted by a proof or realized by an integer
 witness runs in pure Python.  So only ``uniq check``, ``singlet`` and that
@@ -409,7 +409,7 @@ def catalog(name, outfile, as_json):
     with _usage_errors():
         text = corpus.catalog_text(name)
     sites, dim, amps = _text.parse_qs(text)
-    terms = _normalized_terms(sites, dim, amps)
+    terms = _text.normalized_terms(sites, dim, amps)
     qs = _text.format_qs(sites, dim, terms, comment=f"catalog state {name}")
     payload = {
         "name": name,
@@ -419,35 +419,6 @@ def catalog(name, outfile, as_json):
     }
     _report(as_json, payload, None if outfile else qs,
             artefact=qs, outfile=outfile)
-
-
-def _normalized_terms(sites: int, dim: int, amps: dict) -> list:
-    """The (amplitude, site digits) pairs that ``terms()`` of the state
-    built from ``amps`` yields, bit for bit, computed without numpy.
-
-    numpy's norm of a complex vector adds the squared real parts, then the
-    squared imaginary parts, each in flat-index order, and its division of
-    a complex vector by a real norm multiplies by the reciprocal; both are
-    done the same way here.  A parsed amplitude is a sum from 0j, so no
-    part of it is -0.0, and the product needs no care for signed zeros.
-    """
-    order = sorted(amps)
-    re2 = im2 = 0.0
-    for idx in order:
-        amp = amps[idx]
-        re2 += amp.real * amp.real
-        im2 += amp.imag * amp.imag
-    scale = 1.0 / math.sqrt(re2 + im2)
-    terms = []
-    for idx in order:
-        amp = amps[idx] * scale
-        if abs(amp) > _text.TERM_CUTOFF:
-            digits = []
-            for _ in range(sites):
-                idx, k = divmod(idx, dim)
-                digits.append(k)
-            terms.append((amp, tuple(reversed(digits))))
-    return terms
 
 
 def singlet(dim, sites, as_json):

@@ -4,31 +4,33 @@ is told in ``data/README.md``.
 Importing this module loads neither ``logic`` nor numpy: the pure-Python
 diagram parser is imported when a diagram entry is loaded, and the numpy
 state reader when a state entry is loaded.  ``catalog_text`` only reads a
-state's file.
+state's file.  The package ships as plain files, read by path with
+``open``: ``importlib.resources`` would load ``typing`` and ``tempfile``
+into every command that reads the corpus.
 """
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 DIAGRAM_IDS = ("fig1", "fig2a", "fig2b", "fig3")  # data/<id>.gd
 STATE_IDS = ("psi2", "psi3", "psi4_1", "psi4_2", "psi4_3", "ghzm")  # data/<id>.qs
 
 
-def _data(entry_id: str):
-    """The data file of an entry; ValueError for an unknown id."""
+def data_path(entry_id: str) -> str:
+    """Filesystem path of a corpus file; ValueError for an unknown id."""
     if entry_id in DIAGRAM_IDS:
         filename = f"{entry_id}.gd"
     elif entry_id in STATE_IDS:
         filename = f"{entry_id}.qs"
     else:
         raise ValueError(f"unknown corpus id {entry_id!r}")
-    return resources.files(__package__) / "data" / filename
+    return os.path.join(os.path.dirname(__file__), "data", filename)
 
 
-def data_path(entry_id: str) -> str:
-    """Filesystem path of a corpus file (the package ships as plain files)."""
-    return str(_data(entry_id))
+def _read(entry_id: str) -> str:
+    with open(data_path(entry_id), encoding="utf-8") as f:
+        return f.read()
 
 
 def catalog_text(name: str) -> str:
@@ -38,12 +40,12 @@ def catalog_text(name: str) -> str:
         raise ValueError(
             f"unknown catalog state {name!r}; choose from {STATE_IDS}"
         )
-    return _data(name).read_text(encoding="utf-8")
+    return _read(name)
 
 
 def load(entry_id: str):
     """Parse a corpus entry into a GreechieDiagram or MultipartiteState."""
-    text = _data(entry_id).read_text(encoding="utf-8")
+    text = _read(entry_id)
     if entry_id in DIAGRAM_IDS:
         from ..logic import parse_diagram
 

@@ -41,7 +41,6 @@ MAX_STATES = 1 << 20
 class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(f"line {line}: {message}" if line else message)
-        self.line = line
 
 
 class GreechieDiagram(collections.namedtuple(

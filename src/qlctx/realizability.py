@@ -215,10 +215,8 @@ def _numerical_search(diagram, dim, seed, restarts, complex_space, margin):
     for x, y in orthogonal_pairs(diagram):
         orth_mask[index[x], index[y]] = True
         orth_mask[index[y], index[x]] = True
-    offdiag = ~np.eye(n, dtype=bool)
-    t2 = (1.0 - margin) ** 2
     width = 2 * dim if complex_space else dim
-    args = (n, width, orth_mask, offdiag, t2, complex_space)
+    args = (orth_mask, (1.0 - margin) ** 2, complex_space)
 
     # memory grows with the block, not with the restart count: a restart
     # holds n x n overlap cells and MEMORY L-BFGS pairs of n·w coordinates

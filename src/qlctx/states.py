@@ -27,11 +27,7 @@ import numpy as np
 
 from . import _text
 from ._records import ByIdentity
-from ._text import TERM_CUTOFF
-
-SITE_LABELS = {2: ("+", "-"), 3: ("+", "0", "-")}
-
-MAX_TOTAL_DIM = 10_000
+from ._text import MAX_TOTAL_DIM, SITE_LABELS, TERM_CUTOFF, check_total_dim
 
 KERNEL_TOLERANCE = 1e-9
 UNITARITY_TOLERANCE = 1e-9
@@ -220,7 +216,7 @@ def _site_operator(single: np.ndarray, site: int, sites: int) -> np.ndarray:
 def spin_total_operators(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense total-spin components S_tot^x, S_tot^y, S_tot^z on n sites of
     dimension d, each a (d**n)² matrix."""
-    _check_total_dim(d, n)
+    check_total_dim(d, n)
     totals = []
     for single in spin_matrices(d):
         tot = np.zeros((d**n, d**n), dtype=complex)
@@ -228,16 +224,6 @@ def spin_total_operators(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
             tot += _site_operator(single, site, n)
         totals.append(tot)
     return tuple(totals)
-
-
-def _check_total_dim(d: int, n: int) -> None:
-    # d >= 2, so capping the exponent keeps a huge n from building a huge
-    # integer without changing the verdict
-    if d ** min(n, 64) > MAX_TOTAL_DIM:
-        raise ValueError(
-            f"{n} sites of dimension {d} exceed the total dimension limit "
-            f"{MAX_TOTAL_DIM}"
-        )
 
 
 def _raising_sector(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -278,7 +264,7 @@ def singlet_subspace(d: int, n: int) -> list[MultipartiteState]:
     kernel's singular-value cut is the fixed ``KERNEL_TOLERANCE``.
     """
     _check_site_space(d, n)
-    _check_total_dim(d, n)
+    check_total_dim(d, n)
     if n * (d - 1) % 2:
         return []  # half-integer total M: the M = 0 sector is empty
     raise_op, zero = _raising_sector(d, n)
@@ -381,18 +367,12 @@ def is_form_invariant(
     return worst >= 1.0 - INVARIANCE_TOLERANCE, worst
 
 
-# --- .qs state files: the format is read and written by ``_text`` ---------
-
-
-def _check_qs_space(sites: int, dim: int) -> None:
-    if dim not in SITE_LABELS:
-        raise ValueError(f"unsupported dim {dim}")
-    _check_total_dim(dim, sites)
+# --- .qs state files: the format is read, checked and written by ``_text`` --
 
 
 def read_qs(text: str) -> MultipartiteState:
     """Parse the .qs state format; raises ValueError with a line number."""
-    sites, dim, amps = _text.parse_qs(text, _check_qs_space)
+    sites, dim, amps = _text.parse_qs(text)
     coeffs = np.zeros(dim**sites, dtype=complex)
     coeffs[list(amps)] = list(amps.values())
     return MultipartiteState(sites, dim, coeffs)

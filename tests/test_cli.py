@@ -392,8 +392,9 @@ class TestStateConstructors:
 
     @pytest.mark.parametrize("name", corpus.STATE_IDS)
     def test_catalog_prints_what_the_numpy_state_prints(self, tmp_path, name):
-        # catalog normalizes in pure Python; its text, JSON and -o file are
-        # those of the MultipartiteState that catalog_state builds
+        # catalog normalizes in pure Python; on the bundled states its text,
+        # JSON and -o file are those of the MultipartiteState that
+        # catalog_state builds, whose norm numpy sums in blocks
         psi = catalog_state(name)
         qs = write_qs(psi, comment=f"catalog state {name}")
         payload = {"name": name, "sites": psi.sites, "dim": psi.site_dim,
@@ -815,10 +816,11 @@ class TestExitContract:
             json.loads(as_json.stdout)
 
 
-def _python(code, cwd=None):
-    """``code`` run in a new interpreter that finds the package."""
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, cwd=cwd,
+def _python(code, cwd=None, flags=()):
+    """``code`` run in a new interpreter, started with ``flags``, that finds
+    the package."""
+    return subprocess.run([sys.executable, *flags, "-c", code],
+                          capture_output=True, text=True, cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
 
 
@@ -888,6 +890,15 @@ class TestLeanImports:
                            f"from qlctx.cli import main\nmain({args!r})")
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout == (GOLDEN / golden).read_text()
+
+    def test_corpus_import_leaves_out_importlib_resources(self):
+        # importlib.resources loads typing and tempfile; -S keeps a site
+        # hook from loading it first and hiding the cost
+        proc = _python("import qlctx.corpus, sys\n"
+                       "print('importlib.resources' in sys.modules)",
+                       flags=["-S"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_catalog_leaves_out_numpy_and_states(self, tmp_path):
         for args in (["catalog", "psi3", "--json"],

@@ -289,10 +289,9 @@ class TestSearch:
         d = corpus.load("fig2b")
         n = len(d.atoms)
         orth = orthogonality_mask(d)
-        offdiag = ~np.eye(n, dtype=bool)
         for complex_space in (False, True):
             width = 6 if complex_space else 3
-            args = (n, width, orth, offdiag, 0.95**2, complex_space)
+            args = (orth, 0.95**2, complex_space)
             x = rng.standard_normal(n * width)
             _, grad = value_and_grad(x[None], *args)
             eps = 1e-6
@@ -647,7 +646,7 @@ class TestMinimize:
         d = tripod_chain(6)
         n = len(d.atoms)
         orth = orthogonality_mask(d)
-        args = (n, 3, orth, ~np.eye(n, dtype=bool), 0.95**2, False)
+        args = (orth, 0.95**2, False)
         starts = np.random.default_rng(9).standard_normal((5, 3 * n))
         batch = minimize(value_and_grad, starts, args=args)
         alone = [minimize(value_and_grad, row[None], args=args)

@@ -8,7 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from qlctx import contexts, states
+from qlctx import _text, contexts, states
 from qlctx.contexts import context_operator, link_observables
 from qlctx.uniqueness import check_uniqueness_rotated
 from qlctx.states import (
@@ -22,7 +22,9 @@ from qlctx.states import (
     read_qs,
     rotation_unitary,
     singlet_subspace,
+    spin_matrices,
     spin_total_operators,
+    unitarity_defect,
     write_qs,
 )
 
@@ -427,6 +429,22 @@ class TestStateFiles:
             read_qs("sites 1000000000\ndim 3\n1 0 0\n")
         assert read_qs("sites 8\ndim 3\n1 0" + " 0" * 8 + "\n").sites == 8
 
+    @pytest.mark.parametrize("text,message", [
+        ("sites 1\ndim 4\n1 0 0\n", "line 2: unsupported dim 4"),
+        ("sites 9\ndim 3\n1 0" + " 0" * 9 + "\n",
+         "line 2: 9 sites of dimension 3 exceed the total dimension limit 10000"),
+    ], ids=["dim", "size"])
+    def test_parser_checks_the_header_for_every_reader(self, text, message):
+        # qlctx catalog reads through parse_qs alone, without states
+        for reader in (_text.parse_qs, read_qs):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                reader(text)
+
+    def test_header_rules_live_in_the_parser(self):
+        assert states.SITE_LABELS is _text.SITE_LABELS
+        assert states.MAX_TOTAL_DIM is _text.MAX_TOTAL_DIM
+        assert states.TERM_CUTOFF is _text.TERM_CUTOFF
+
 
 class TestTerms:
     @staticmethod
@@ -519,3 +537,90 @@ class TestStateValue:
         psi = catalog_state("psi2")
         with pytest.raises(ValueError):
             psi.coeffs[0] = 1.0
+
+
+# --- kernel, spin matrices and rotation unitaries --------------------------
+
+
+def test_kernel_trivial_cases():
+    assert kernel(np.eye(3)) == []
+    zero_kernel = kernel(np.zeros((3, 3)))
+    assert len(zero_kernel) == 3
+    axis = kernel(np.diag([0.0, 1.0, 2.0]))
+    assert len(axis) == 1
+    assert abs(abs(axis[0][0]) - 1.0) < 1e-12
+
+
+def test_kernel_real_matrix_gives_real_vectors():
+    vecs = kernel(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    assert len(vecs) == 1
+    assert vecs[0].dtype == np.float64
+    assert np.allclose(np.abs(vecs[0]), [1 / np.sqrt(2), 1 / np.sqrt(2), 0.0])
+
+
+def test_kernel_orthonormal():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((2, 5))  # rank 2, kernel dim 3
+    vecs = kernel(a)
+    assert len(vecs) == 3
+    for i, u in enumerate(vecs):
+        assert np.linalg.norm(a @ u) < 1e-9
+        for j, w in enumerate(vecs):
+            want = 1.0 if i == j else 0.0
+            assert abs(np.vdot(u, w) - want) < 1e-12
+
+
+def test_spin_matrices_commutator():
+    for d in (2, 3):
+        sx, sy, sz = spin_matrices(d)
+        assert np.max(np.abs(sx @ sy - sy @ sx - 1j * sz)) < 1e-12
+
+
+def test_rotation_z_axis_spin_half():
+    theta = 0.7
+    u = rotation_unitary(2, [0, 0, 1], theta)
+    expected = np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
+    assert np.allclose(u, expected)
+
+
+def test_rotation_identity_angle():
+    assert np.allclose(rotation_unitary(3, [1, 1, 1], 0.0), np.eye(3))
+
+
+def test_rotation_full_turn_integer_spin():
+    u = rotation_unitary(3, [0, 0, 1], 2 * np.pi)
+    assert np.max(np.abs(u - np.eye(3))) < 1e-12
+
+
+def test_rotation_unitary_and_additive():
+    rng = np.random.default_rng(17)
+    for d in (2, 3):
+        for _ in range(10):
+            axis = rng.standard_normal(3)
+            a, b = rng.uniform(0, 2 * np.pi, size=2)
+            ua = rotation_unitary(d, axis, a)
+            assert unitarity_defect(ua) < 1e-12
+            ub = rotation_unitary(d, axis, b)
+            uab = rotation_unitary(d, axis, a + b)
+            assert np.max(np.abs(ua @ ub - uab)) < 1e-10
+
+
+def test_rotation_closed_form_matches_expm():
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(29)
+    for d in (2, 3):
+        sx, sy, sz = spin_matrices(d)
+        for _ in range(50):
+            axis = rng.standard_normal(3)
+            angle = rng.uniform(-4 * np.pi, 4 * np.pi)
+            n = axis / np.linalg.norm(axis)
+            want = expm(-1j * angle * (n[0] * sx + n[1] * sy + n[2] * sz))
+            assert np.max(np.abs(rotation_unitary(d, axis, angle) - want)) < 1e-12
+
+
+def test_rotation_rejects_bad_inputs():
+    with pytest.raises(ValueError):
+        rotation_unitary(4, [0, 0, 1], 0.1)
+    with pytest.raises(ValueError):
+        rotation_unitary(3, [0, 0, 0], 0.1)
