@@ -7,8 +7,13 @@ no witness found), 2 = usage or input error.
 Every command builds its JSON payload and its text and ends in one call to
 ``_report``, which writes the ``-o`` artefact, prints the payload or the
 text and sets the exit code.  The front end is the standard library's
-``argparse``: ``main`` builds the parser tree, runs the chosen command and
-turns a ``UsageError`` into the usage line, ``Error: <message>`` and exit 2.
+``argparse``: ``main`` builds the parser tree and runs the chosen command.
+Bad input raises ``ValueError``, in the commands and in the engine alike,
+and ``main`` is the one place that turns any ``ValueError`` a command
+raises into the command's usage line, ``Error: <message>`` and exit 2, so
+exit 1 never comes from bad input.  Other exceptions (``TypeError``, the
+simplex's ``ArithmeticError``) are faults of the program, not of the
+input, and stay tracebacks.
 
 Only ``_text`` (pure Python) and the standard library are imported here.
 ``logic`` and ``fractions`` are imported by the commands that read a
@@ -32,35 +37,36 @@ import math
 import os
 import re
 import sys
-from contextlib import contextmanager
-from pathlib import Path
 
 from . import _text
 
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
+# the largest decimal exponent, in magnitude, of a ``hull --p`` value or
+# ``--tol``: Fraction builds 10**exponent, and "1e-10000000" takes seconds
+MAX_EXPONENT = 1000
 
-class UsageError(Exception):
-    """A usage or input error: ``main`` prints it under the command's usage
-    line and exits 2."""
+# a decimal with an exponent as Fraction reads it, the exponent's digits
+# in group 1
+_DECIMAL = (r"\s*[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
+            r"[eE][-+]?(\d+(?:_\d+)*)\s*")
 
 
-@contextmanager
-def _usage_errors(prefix: str | None = None):
-    """Report a ValueError raised inside as a usage error (exit 2), its
-    message prefixed with ``prefix`` when one is given."""
+def _prefixed(prefix: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, a ValueError's message prefixed with
+    ``prefix``."""
     try:
-        yield
+        return call(*args, **kwargs)
     except ValueError as exc:
-        raise UsageError(f"{prefix}: {exc}" if prefix else str(exc)) from None
+        raise ValueError(f"{prefix}: {exc}") from None
 
 
 def _echo_json(payload) -> None:
     # finite inputs can still overflow (huge eigenvalues); refuse the result
     # rather than print NaN or Infinity, which are not JSON
-    with _usage_errors("result out of floating-point range"):
-        text = json.dumps(payload, indent=2, allow_nan=False)
+    text = _prefixed("result out of floating-point range",
+                     json.dumps, payload, indent=2, allow_nan=False)
     _write(text + "\n")
 
 
@@ -83,18 +89,19 @@ def _load(path: str, reader):
     """``reader`` applied to the text of a UTF-8 file, less a leading byte
     order mark (some editors write one); errors name the file."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as file:
+            text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
-    with _usage_errors(path):
-        return reader(text)
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    return _prefixed(path, reader, text)
 
 
 def _write_output(text: str, outfile: str) -> None:
     try:
-        Path(outfile).write_text(text, encoding="utf-8")
+        with open(outfile, "w", encoding="utf-8") as file:
+            file.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write {outfile}: {exc}") from None
+        raise ValueError(f"cannot write {outfile}: {exc}") from None
 
 
 def _report(as_json: bool, payload: dict, text: str | None,
@@ -153,8 +160,7 @@ def states_enumerate(diagram_file, as_json):
     from . import logic
 
     diagram = _load(diagram_file, logic.parse_diagram)
-    with _usage_errors(diagram_file):
-        sts = logic.two_valued_states(diagram)
+    sts = _prefixed(diagram_file, logic.two_valued_states, diagram)
     listed = [[a for a in diagram.atoms if a in s] for s in sts]
     text = _lines([f"atoms: {' '.join(diagram.atoms)}",
                    f"{len(sts)} two-valued state(s)",
@@ -169,8 +175,7 @@ def states_classify(diagram_file, as_json):
     from . import logic
 
     diagram = _load(diagram_file, logic.parse_diagram)
-    with _usage_errors(diagram_file):
-        result = logic.classify(diagram)
+    result = _prefixed(diagram_file, logic.classify, diagram)
     payload = {
         "class": result.kind,
         "state_count": result.state_count,
@@ -190,6 +195,18 @@ def states_classify(diagram_file, as_json):
 # --- hull -----------------------------------------------------------------
 
 
+def _exponent_error(text: str) -> str | None:
+    """The message refusing ``text``, a decimal whose exponent exceeds
+    MAX_EXPONENT in magnitude, before Fraction reads it; None for any other
+    text."""
+    match = re.fullmatch(_DECIMAL, text)
+    digits = match[1].replace("_", "").lstrip("0") if match else ""
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+        return (f"{text.strip()!r} has a decimal exponent beyond "
+                f"{MAX_EXPONENT} in magnitude")
+    return None
+
+
 def _parse_assignment(text: str) -> dict:
     from fractions import Fraction
 
@@ -199,17 +216,19 @@ def _parse_assignment(text: str) -> dict:
         if not piece:
             continue
         if "=" not in piece:
-            raise UsageError(
+            raise ValueError(
                 f"bad probability assignment {piece!r}; expected atom=value"
             )
         atom, value = piece.split("=", 1)
         atom = atom.strip()
         if atom in out:
-            raise UsageError(f"atom {atom!r} is assigned more than once")
+            raise ValueError(f"atom {atom!r} is assigned more than once")
+        if refused := _exponent_error(value):
+            raise ValueError(f"probability value {refused}")
         try:
             out[atom] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
-            raise UsageError(f"bad probability value {value!r}") from None
+            raise ValueError(f"bad probability value {value!r}") from None
     return out
 
 
@@ -218,6 +237,8 @@ def _tolerance(text: str):
     # the float's binary value, so band weights keep short denominators
     from fractions import Fraction
 
+    if refused := _exponent_error(text):
+        raise argparse.ArgumentTypeError(refused)
     try:
         tol = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -233,8 +254,7 @@ def hull(diagram_file, assignment, tol, as_json):
 
     diagram = _load(diagram_file, logic.parse_diagram)
     p = _parse_assignment(assignment)
-    with _usage_errors():
-        result = logic.hull_membership(diagram, p, tol=tol)
+    result = logic.hull_membership(diagram, p, tol=tol)
     payload = {
         "verdict": "inside" if result.inside else "outside",
         "weights": None,
@@ -269,11 +289,9 @@ def realize(diagram_file, dim, seed, restarts, complex_space, outfile, as_json):
     from . import logic, realizability
 
     diagram = _load(diagram_file, logic.parse_diagram)
-    with _usage_errors():
-        result = realizability.search_realization(
-            diagram, dim, seed=seed, restarts=restarts,
-            complex_space=complex_space
-        )
+    result = realizability.search_realization(
+        diagram, dim, seed=seed, restarts=restarts, complex_space=complex_space
+    )
     refutation = result.refutation
     if refutation is not None:
         if isinstance(refutation, realizability.OversizedContext):
@@ -338,8 +356,7 @@ def saturate(diagram_file, as_json):
     from .saturation import saturate_orthogonality
 
     diagram = _load(diagram_file, logic.parse_diagram)
-    with _usage_errors():
-        outcome = saturate_orthogonality(diagram)
+    outcome = saturate_orthogonality(diagram)
     refuted = outcome.verdict == "contradiction"
     payload = {"verdict": "refuted" if refuted else outcome.verdict,
                "derivation": _derivation(outcome)}
@@ -351,8 +368,7 @@ def render_cmd(diagram_file, style, outfile, as_json):
     from . import logic
 
     diagram = _load(diagram_file, logic.parse_diagram)
-    with _usage_errors():
-        dot = logic.render(diagram, style)
+    dot = logic.render(diagram, style)
     _report(as_json, {"style": style, "dot": dot}, None if outfile else dot,
             artefact=dot, outfile=outfile)
 
@@ -366,9 +382,8 @@ def uniq_check(state_file, rotations, seed, tol, as_json):
     from . import uniqueness
 
     psi = _load(state_file, statemod.read_qs)
-    with _usage_errors():
-        results = uniqueness.check_uniqueness_rotated(psi, rotations,
-                                                      seed=seed, tol=tol)
+    results = uniqueness.check_uniqueness_rotated(psi, rotations,
+                                                  seed=seed, tol=tol)
     base = results[0].report
     rotated = results if rotations else []
     unique = base.overall and all(r.report.overall for r in rotated)
@@ -406,8 +421,7 @@ def catalog(name, outfile, as_json):
     """Emit a catalog state (psi2, psi3, psi4_1..3, ghzm) as .qs text."""
     from . import corpus
 
-    with _usage_errors():
-        text = corpus.catalog_text(name)
+    text = corpus.catalog_text(name)
     sites, dim, amps = _text.parse_qs(text)
     terms = _text.normalized_terms(sites, dim, amps)
     qs = _text.format_qs(sites, dim, terms, comment=f"catalog state {name}")
@@ -425,8 +439,7 @@ def singlet(dim, sites, as_json):
     """Orthonormal basis of the total-spin-zero subspace."""
     from . import states as statemod
 
-    with _usage_errors():
-        basis = statemod.singlet_subspace(dim, sites)
+    basis = statemod.singlet_subspace(dim, sites)
     payload = {
         "dim": dim,
         "sites": sites,
@@ -447,14 +460,11 @@ def context_op(phi, eigs, as_json):
     standard-basis context (eigenvalues 1,2,3)."""
     from . import contexts as contextops
 
-    with _usage_errors("--phi"):
-        phi = _text.finite(phi)
-    with _usage_errors("--eigs"):
-        eig_values = tuple(_text.finite(x) for x in eigs.split(","))
+    phi = _prefixed("--phi", _text.finite, phi)
+    eig_values = tuple(_prefixed("--eigs", _text.finite, x) for x in eigs.split(","))
     standard, rotated = contextops.two_tripod_bases(phi)
-    with _usage_errors():
-        ctx_rot = contextops.context_operator(rotated, eig_values)
-        ctx_std = contextops.context_operator(standard, (1.0, 2.0, 3.0))
+    ctx_rot = contextops.context_operator(rotated, eig_values)
+    ctx_std = contextops.context_operator(standard, (1.0, 2.0, 3.0))
     comm = contextops.commutator(ctx_std.operator, ctx_rot.operator)
     # finite eigenvalues near the float limit can overflow the operator or
     # the commutator into inf or nan (which max would skip), or the largest
@@ -462,7 +472,7 @@ def context_op(phi, eigs, as_json):
     comm_max = max(math.hypot(z.real, z.imag) for row in comm for z in row)
     if not (math.isfinite(comm_max) and _all_finite(ctx_rot.operator)
             and _all_finite(comm)):
-        raise UsageError("result out of floating-point range")
+        raise ValueError("result out of floating-point range")
     links = contextops.link_observables(ctx_std, ctx_rot)
     payload = {
         "phi": phi,
@@ -637,13 +647,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> None:
     """Run the command line on ``argv`` (default ``sys.argv[1:]``).  Returns
-    when the analysis completes; exits 1 on a negative verdict and 2 on a
-    usage or input error."""
+    when the analysis completes; exits 1 on a negative verdict, and 2 on a
+    usage error or on any ValueError the command raises."""
     options = vars(_parser().parse_args(argv))
     run, parser = options.pop("run"), options.pop("parser")
     try:
         run(**options)
-    except UsageError as exc:
+    except ValueError as exc:
         parser.error(str(exc))
 
 

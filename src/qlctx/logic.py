@@ -13,12 +13,15 @@ only masks; ``_states_of`` decodes frozensets for what is returned.
 .gd file format, one directive per line ('#' starts a comment):
 
     name <free text>            optional diagram name
-    atoms <a> <b> ...           optional atom declaration (validation only)
+    atoms <a> <b> ...           optional atom declaration (fixes the order)
     context <a> <b> <c> ...     one context per line
 
 Atoms are bare whitespace-delimited tokens; the same token appearing in two
 contexts denotes the same observable.  All contexts must have the same size
-(the diagram dimension).
+(the diagram dimension).  Atoms are ordered as the ``atoms`` declaration
+lists them, which must name exactly the atoms of the contexts, or else by
+first use.  That order sets the state masks and so the order of the atoms
+and of the states in every output.
 """
 
 from __future__ import annotations

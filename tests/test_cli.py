@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -574,6 +575,53 @@ class TestBadInputExits2:
                          "--tol", tol)
             assert_usage_error(result, "not a finite number")
 
+    def test_hull_exponent_beyond_the_bound(self):
+        # Fraction builds 10**exponent: the text is refused before that,
+        # so a huge exponent cannot stall the command
+        fig1 = corpus.data_path("fig1")
+        for args, message in (
+                (("--p", "A=1e-1000000"), "probability value '1e-1000000' has "
+                 "a decimal exponent beyond 1000 in magnitude"),
+                (("--p", "A=1/2,B=1/2", "--tol", "1e-1000000"),
+                 "argument --tol: '1e-1000000' has a decimal exponent beyond "
+                 "1000 in magnitude")):
+            start = time.perf_counter()
+            result = run("hull", fig1, *args)
+            assert time.perf_counter() - start < 1
+            assert_usage_error(result, message)
+        assert_usage_error(run("hull", fig1, "--p", "A=1e-5000"),
+                           "'1e-5000' has a decimal exponent")
+        # the bound itself is allowed
+        assert run("hull", fig1, "--p", "A=1e-1000").exit_code == 1
+
+    def test_default_tol_enters_the_lp_exactly(self, monkeypatch):
+        from qlctx import logic
+
+        seen = []
+        hull_membership = logic.hull_membership
+
+        def spy(diagram, p, tol):
+            seen.append(tol)
+            return hull_membership(diagram, p, tol=tol)
+
+        monkeypatch.setattr(logic, "hull_membership", spy)
+        assert run("hull", corpus.data_path("fig1"), "--p", "A=1").exit_code == 0
+        assert seen == [Fraction(1, 10**9)]
+
+    def test_hull_margin_beyond_the_int_string_limit(self):
+        # every denominator fits the limit on digits of int-to-str, but the
+        # margin's does not: str() raises ValueError, which exits 2 and is
+        # not read as an "outside" verdict
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            two, three = 2**13000, 3**8000
+            p = f"B=1/{two},D=1/{two},C=1/{three},K=1/{three}"
+            result = run("hull", corpus.data_path("fig1"), "--p", p)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert_usage_error(result, "Exceeds the limit (4300 digits)")
+
     def test_uniq_tol_leaves_no_amplitude(self):
         # psi3 is not unique; a tolerance above every amplitude must not
         # turn that into "unique: true" with no terms
@@ -759,6 +807,41 @@ class TestBadInputExits2:
         assert_usage_error(result, f"cannot write {out}")
 
 
+# each subcommand and the engine function it calls, which a test makes
+# raise ValueError; the prefix its message gets ({} is the file)
+GATE = [
+    (("states", "enumerate", "@fig1"), "logic.two_valued_states", "{}: "),
+    (("states", "classify", "@fig1"), "logic.classify", "{}: "),
+    (("hull", "@fig1", "--p", "A=1"), "logic.hull_membership", ""),
+    (("realize", "@fig2a", "--dim", "3"), "realizability.save_realization", ""),
+    (("saturate", "@fig2a"), "saturation.saturate_orthogonality", ""),
+    (("render", "@fig1"), "logic.render", ""),
+    (("uniq", "check", "@psi2"), "uniqueness.check_uniqueness_rotated", ""),
+    (("catalog", "psi2"), "corpus.catalog_text", ""),
+    (("singlet", "--dim", "2", "--sites", "2"), "states.singlet_subspace", ""),
+    (("context", "op", "--phi", "0.5"), "contexts.link_observables", ""),
+    (("split", "--matrix", "matrix.txt"), "contexts.split_selfadjoint", ""),
+]
+
+
+@pytest.mark.parametrize("args,engine,prefix", GATE,
+                         ids=[" ".join(w for w in a[:2] if w.isalpha())
+                              for a, _, _ in GATE])
+def test_every_value_error_exits_2(tmp_path, monkeypatch, args, engine, prefix):
+    # main turns a ValueError from anywhere in a command into exit 2, so
+    # bad input never ends in a traceback, whose exit 1 reads as a verdict
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("qlctx." + engine, boom)
+    args = _contract_args(args, tmp_path)
+    file = next((a for a in args if os.sep in a), "")
+    result = run(*args)
+    assert_usage_error(result, "Error: " + prefix.format(file) + "boom\n")
+    assert "Traceback" not in result.output
+
+
 EXIT_CONTRACT = [
     (("states", "enumerate", "@fig1"), 0),
     (("states", "enumerate", "cycle.gd"), 1),
@@ -890,6 +973,14 @@ class TestLeanImports:
                            f"from qlctx.cli import main\nmain({args!r})")
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout == (GOLDEN / golden).read_text()
+
+    def test_cli_import_leaves_out_pathlib(self):
+        # files are read and written with open; -S keeps a site hook from
+        # loading pathlib first and hiding the cost
+        proc = _python("import qlctx.cli, sys\nprint('pathlib' in sys.modules)",
+                       flags=["-S"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_corpus_import_leaves_out_importlib_resources(self):
         # importlib.resources loads typing and tempfile; -S keeps a site

@@ -94,6 +94,20 @@ class TestParse:
         with pytest.raises(ParseError, match="no context"):
             parse_diagram("atoms A B C D\ncontext A B C\n")
 
+    def test_declared_atoms_fix_the_order(self):
+        # the declaration orders the atoms and so the state masks and the
+        # listed states; without it atoms come in order of first use
+        fig1 = "context B C A\ncontext D K A\n"
+        for text, atoms, states in (
+                ("atoms K D A C B\n" + fig1, ("K", "D", "A", "C", "B"),
+                 [["A"], ["D", "B"], ["D", "C"], ["K", "B"], ["K", "C"]]),
+                (fig1, ("B", "C", "A", "D", "K"),
+                 [["A"], ["C", "K"], ["C", "D"], ["B", "K"], ["B", "D"]])):
+            d = parse_diagram(text)
+            assert d.atoms == atoms
+            assert [[a for a in atoms if a in s]
+                    for s in two_valued_states(d)] == states
+
     def test_unknown_directive(self):
         with pytest.raises(ParseError, match="directive"):
             parse_diagram("vertex A\n")
