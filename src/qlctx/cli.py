@@ -8,6 +8,11 @@ Every command builds its JSON payload and its text and ends in one call to
 ``_report``, which writes the ``-o`` artefact, prints the payload or the
 text and sets the exit code.  The front end is the standard library's
 ``argparse``: ``main`` builds the parser tree and runs the chosen command.
+Commands parse option text into ``int``, ``float`` or ``str`` and pass it
+on, and the engines check every value: a range, a seed, a tolerance, and
+the exact numbers of ``hull``, which ``logic`` alone reads.  ``context
+op`` and ``split`` keep ``_text.finite``, which parses text into finite
+numbers, as the file readers do.
 Bad input raises ``ValueError``, in the commands and in the engine alike,
 and ``main`` is the one place that turns any ``ValueError`` a command
 raises into the command's usage line, ``Error: <message>`` and exit 2, so
@@ -42,15 +47,6 @@ from . import _text
 
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
-
-# the largest decimal exponent, in magnitude, of a ``hull --p`` value or
-# ``--tol``: Fraction builds 10**exponent, and "1e-10000000" takes seconds
-MAX_EXPONENT = 1000
-
-# a decimal with an exponent as Fraction reads it, the exponent's digits
-# in group 1
-_DECIMAL = (r"\s*[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
-            r"[eE][-+]?(\d+(?:_\d+)*)\s*")
 
 
 def _prefixed(prefix: str, call, *args, **kwargs):
@@ -195,21 +191,9 @@ def states_classify(diagram_file, as_json):
 # --- hull -----------------------------------------------------------------
 
 
-def _exponent_error(text: str) -> str | None:
-    """The message refusing ``text``, a decimal whose exponent exceeds
-    MAX_EXPONENT in magnitude, before Fraction reads it; None for any other
-    text."""
-    match = re.fullmatch(_DECIMAL, text)
-    digits = match[1].replace("_", "").lstrip("0") if match else ""
-    if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
-        return (f"{text.strip()!r} has a decimal exponent beyond "
-                f"{MAX_EXPONENT} in magnitude")
-    return None
-
-
 def _parse_assignment(text: str) -> dict:
-    from fractions import Fraction
-
+    """Atom names mapped to their value texts, which ``hull_membership``
+    reads."""
     out = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -223,29 +207,20 @@ def _parse_assignment(text: str) -> dict:
         atom = atom.strip()
         if atom in out:
             raise ValueError(f"atom {atom!r} is assigned more than once")
-        if refused := _exponent_error(value):
-            raise ValueError(f"probability value {refused}")
-        try:
-            out[atom] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad probability value {value!r}") from None
+        out[atom] = value.strip()
     return out
 
 
-def _tolerance(text: str):
-    # a decimal string is read exactly as a Fraction: 1e-9 is 1/10**9, not
-    # the float's binary value, so band weights keep short denominators
-    from fractions import Fraction
-
-    if refused := _exponent_error(text):
-        raise argparse.ArgumentTypeError(refused)
+def _exact(x) -> str:
+    """``str(x)`` of an exact number; ValueError when one of its integers
+    has more digits than the interpreter converts to text."""
     try:
-        tol = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number") from None
-    if tol < 0:
-        raise argparse.ArgumentTypeError(f"{text} is negative")
-    return tol
+        return str(x)
+    except ValueError:
+        raise ValueError(
+            "the exact result has a number of more than "
+            f"{sys.get_int_max_str_digits()} digits and is too long to print"
+        ) from None
 
 
 def hull(diagram_file, assignment, tol, as_json):
@@ -263,21 +238,21 @@ def hull(diagram_file, assignment, tol, as_json):
         "margin": None,
     }
     if result.inside:
-        mixed = [([a for a in diagram.atoms if a in s], w)
+        mixed = [([a for a in diagram.atoms if a in s], _exact(w))
                  for s, w in zip(result.states, result.weights) if w != 0]
-        payload["weights"] = [{"state": state, "weight": str(w)}
+        payload["weights"] = [{"state": state, "weight": w}
                               for state, w in mixed]
         lines = ["inside: convex combination of two-valued states",
-                 *(f"  {w!s} * {{{' '.join(state)}}}" for state, w in mixed)]
+                 *(f"  {w} * {{{' '.join(state)}}}" for state, w in mixed)]
     else:
-        payload["functional"] = {a: str(c) for a, c in result.functional.items()}
-        payload["offset"] = str(result.offset)
-        payload["margin"] = str(result.margin)
+        functional = {a: _exact(c) for a, c in result.functional.items()}
+        offset, margin = _exact(result.offset), _exact(result.margin)
+        payload.update(functional=functional, offset=offset, margin=margin)
         lines = ["outside: separating functional f with f(state) <= c < f(p)",
-                 *(f"  f[{atom}] = {coef!s}"
-                   for atom, coef in result.functional.items() if coef != 0),
-                 f"  c = {result.offset!s}",
-                 f"  margin = {result.margin!s}"]
+                 *(f"  f[{atom}] = {coef}"
+                   for atom, coef in functional.items() if coef != "0"),
+                 f"  c = {offset}",
+                 f"  margin = {margin}"]
     _report(as_json, payload, _lines(lines), negative=not result.inside)
 
 
@@ -542,23 +517,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"Error: {message}\n")
 
 
-def _at_least(low, kind=int):
-    """An argparse type: ``kind`` of the option's text, refused when NaN or
-    below ``low``."""
-    def parse(text: str):
-        try:
-            value = kind(text)
-            if value != value:  # NaN passes every comparison with low
-                raise ValueError
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{text!r} is not a valid {kind.__name__}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
-        return value
-    return parse
-
-
 def _command(commands, name, run):
     """Subcommand ``name``, which calls ``run`` with its options; the help is
     ``run``'s docstring, and every command takes ``--json``."""
@@ -591,15 +549,15 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("diagram_file")
     p.add_argument("--p", dest="assignment", required=True,
                    help="Atom probabilities, e.g. 'A=1,B=1/2'; unlisted atoms are 0.")
-    p.add_argument("--tol", default="1e-9", type=_tolerance,
+    p.add_argument("--tol", default="1e-9",
                    help="Feasibility tolerance, a decimal or a fraction. " + DEFAULT)
 
     p = _command(commands, "realize", realize)
     p.add_argument("diagram_file")
-    p.add_argument("--dim", required=True, type=_at_least(2),
+    p.add_argument("--dim", required=True, type=int,
                    help="Hilbert-space dimension.")
-    p.add_argument("--seed", default=0, type=_at_least(0), help=DEFAULT)
-    p.add_argument("--restarts", default=20, type=_at_least(1), help=DEFAULT)
+    p.add_argument("--seed", default=0, type=int, help=DEFAULT)
+    p.add_argument("--restarts", default=20, type=int, help=DEFAULT)
     p.add_argument("--complex", dest="complex_space", action="store_true",
                    help="Search complex vectors (default real).")
     p.add_argument("-o", dest="outfile",
@@ -616,11 +574,11 @@ def _parser() -> argparse.ArgumentParser:
     p = _command(_group(commands, "uniq", "Outcome-uniqueness analyses of .qs states."),
                  "check", uniq_check)
     p.add_argument("state_file")
-    p.add_argument("--rotations", default=0, type=_at_least(0),
+    p.add_argument("--rotations", default=0, type=int,
                    help="Also check this many random identical local rotations. "
                    + DEFAULT)
-    p.add_argument("--seed", default=0, type=_at_least(0), help=DEFAULT)
-    p.add_argument("--tol", default=1e-9, type=_at_least(0, float),
+    p.add_argument("--seed", default=0, type=int, help=DEFAULT)
+    p.add_argument("--tol", default=1e-9, type=float,
                    help="Amplitudes at or below this magnitude count as zero. "
                    + DEFAULT)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import re
 from fractions import Fraction
 
 from . import _text
@@ -39,6 +40,15 @@ TwoValuedState = frozenset  # atoms assigned 1; all other atoms are 0
 # the most two-valued states one enumeration lists; a 20-tripod chain has
 # F(23) = 28,657 of them and a 30-tripod chain F(33) = 3,524,578
 MAX_STATES = 1 << 20
+
+# the largest decimal exponent, in magnitude, of an exact number read from
+# text: Fraction builds 10**exponent, and "1e-10000000" takes seconds
+MAX_EXPONENT = 1000
+
+# a decimal with an exponent as Fraction reads it, the exponent's digits
+# in group 1
+_DECIMAL = re.compile(r"\s*[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
+                      r"[eE][-+]?(\d+(?:_\d+)*)\s*")
 
 
 class ParseError(ValueError):
@@ -313,12 +323,25 @@ class HullMembership(collections.namedtuple(
     __slots__ = ()
 
 
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, float) and not math.isfinite(x):
-        raise ValueError(f"{x!r} is not a finite number")
-    if isinstance(x, (int, Fraction, float, str)):
-        return Fraction(x)  # a float enters with its exact binary value
-    raise TypeError(f"cannot interpret {x!r} as a probability")
+def _to_fraction(x, what: str) -> Fraction:
+    """``x`` as an exact Fraction; ``what`` names the quantity in errors.
+
+    A float enters with its exact binary value, and text as Fraction reads
+    it.  Text with a decimal exponent beyond MAX_EXPONENT in magnitude is
+    refused before the number is built, and so are text Fraction cannot
+    read ('1/0' included) and a float that is not finite."""
+    if isinstance(x, str):
+        match = _DECIMAL.fullmatch(x)
+        digits = match[1].replace("_", "").lstrip("0") if match else ""
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ValueError(f"{what} {x.strip()!r} has a decimal exponent "
+                             f"beyond {MAX_EXPONENT} in magnitude")
+    elif not isinstance(x, (int, Fraction, float)):
+        raise TypeError(f"cannot interpret {x!r} as a {what}")
+    try:
+        return Fraction(x)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError(f"{what} {x!r} is not a finite number") from None
 
 
 def hull_membership(diagram: GreechieDiagram, p, tol="1e-9") -> HullMembership:
@@ -330,15 +353,19 @@ def hull_membership(diagram: GreechieDiagram, p, tol="1e-9") -> HullMembership:
     one and reproduce p within ``tol`` componentwise; it is solved exactly
     in rational arithmetic, so certificates are exact.  ``tol`` takes the
     same types; a decimal string such as the default '1e-9' is read
-    exactly, where a float enters with its binary value.
+    exactly, where a float enters with its binary value.  Text whose
+    decimal exponent exceeds MAX_EXPONENT in magnitude ('1e-1001') is
+    refused with ValueError before it is read, since the exact number
+    holds 10 to that power; so is text Fraction cannot read.
     """
     for atom in p:
         if atom not in diagram.atoms:
             raise ValueError(f"unknown atom {atom!r} in probability assignment")
-    target = [_to_fraction(p.get(a, 0)) for a in diagram.atoms]
+    target = [_to_fraction(p.get(a, 0), "probability value")
+              for a in diagram.atoms]
     if any(t < 0 or t > 1 for t in target):
         raise ValueError("probabilities must lie in [0, 1]")
-    tol = _to_fraction(tol)
+    tol = _to_fraction(tol, "tolerance")
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     masks = _enumerate(diagram)

@@ -130,14 +130,16 @@ def search_realization(
     dimensions are 3, ``_exact_search`` runs next, and a witness it finds is
     the result, whatever ``seed``, ``restarts`` and ``complex_space`` say.
     Every other diagram goes to ``_numerical_search`` with the same
-    arguments.  ``margin`` must lie in the open interval (0, 1), and the
-    search may need at most MAX_COORDINATES coordinates; both are checked
-    before any stage.
+    arguments.  ``seed`` must be nonnegative, ``margin`` must lie in the
+    open interval (0, 1), and the search may need at most MAX_COORDINATES
+    coordinates; all are checked before any stage.
     """
     if dim < 2:
         raise ValueError("realization dimension must be >= 2")
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     check_margin(margin)
     coordinates = len(diagram.atoms) * dim * (2 if complex_space else 1)
     if coordinates > MAX_COORDINATES:

@@ -85,16 +85,19 @@ def _set_codes(hits: np.ndarray) -> list:
 
 def _above(amplitudes: np.ndarray, tol: float) -> np.ndarray:
     """Mask of the amplitudes of magnitude above ``tol``.  A negative ``tol``
-    would count zero amplitudes as terms and is refused."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    would count zero amplitudes as terms and is refused, and so is NaN."""
+    if not tol >= 0:  # NaN fails every comparison
+        raise ValueError(f"tolerance must be nonnegative, got {tol}")
     return np.abs(amplitudes) > tol
 
 
 def _observed(psi: MultipartiteState, site: int, outcome, tol: float):
     """Level index of ``outcome`` at ``site`` and the mask of the amplitudes
     of its slab (the other sites' axes, in order) that are above ``tol``.
-    Raises NullFilterError when the mask is empty."""
+    Raises NullFilterError when the mask is empty.  A bool ``site`` is
+    refused, as ``label_index`` refuses a bool outcome."""
+    if isinstance(site, (bool, np.bool_)):
+        raise ValueError(f"site {site!r} is a bool; expected a site index")
     if not 0 <= site < psi.sites:
         raise ValueError(f"site {site} out of range")
     level = psi.label_index(outcome)
@@ -146,8 +149,9 @@ class UniquenessReport(collections.namedtuple(
 def check_uniqueness(psi: MultipartiteState, tol: float = 1e-9) -> UniquenessReport:
     """Decide the uniqueness property of ``psi`` in its preparation basis.
 
-    Raises ValueError when ``tol`` is negative or leaves no amplitude above
-    it: an empty support has no outcomes, so no verdict rests on it.
+    Raises ValueError when ``tol`` is negative or NaN, or leaves no
+    amplitude above it: an empty support has no outcomes, so no verdict
+    rests on it.
     """
     possibilities, term_count = _possibilities(psi, tol)
     if not term_count:
@@ -211,10 +215,13 @@ def check_uniqueness_rotated(
 
     Entry 0 is the identity rotation, checked on psi itself; entries
     1..trials use seeded random rotations (uniform axis, uniform angle), in
-    trial order.
+    trial order.  A negative ``trials`` or ``seed`` is refused before any
+    check runs.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     identity = RotationSample((0.0, 0.0, 1.0), 0.0,
                               np.eye(psi.site_dim, dtype=complex))
     out = [RotatedUniqueness(identity, check_uniqueness(psi, tol))]

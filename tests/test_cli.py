@@ -549,9 +549,10 @@ class TestBadInputExits2:
         assert_usage_error(result, "--tol")
 
     def test_uniq_nan_tol(self):
-        # NaN passes a range check, since nan < 0 is False
+        # NaN passes a range check, since nan < 0 is False: the engine
+        # refuses it with its own words
         result = run("uniq", "check", corpus.data_path("psi2"), "--tol", "nan")
-        assert_usage_error(result, "argument --tol: 'nan' is not a valid float")
+        assert_usage_error(result, "Error: tolerance must be nonnegative, got nan\n")
 
     def test_hull_repeated_atom(self):
         # keeping the last value would give a verdict on an input never given
@@ -583,7 +584,7 @@ class TestBadInputExits2:
                 (("--p", "A=1e-1000000"), "probability value '1e-1000000' has "
                  "a decimal exponent beyond 1000 in magnitude"),
                 (("--p", "A=1/2,B=1/2", "--tol", "1e-1000000"),
-                 "argument --tol: '1e-1000000' has a decimal exponent beyond "
+                 "tolerance '1e-1000000' has a decimal exponent beyond "
                  "1000 in magnitude")):
             start = time.perf_counter()
             result = run("hull", fig1, *args)
@@ -598,20 +599,24 @@ class TestBadInputExits2:
         from qlctx import logic
 
         seen = []
-        hull_membership = logic.hull_membership
+        feasibility = logic.feasibility
 
-        def spy(diagram, p, tol):
-            seen.append(tol)
-            return hull_membership(diagram, p, tol=tol)
+        def spy(rows, rhs):
+            seen.append(rhs)
+            return feasibility(rows, rhs)
 
-        monkeypatch.setattr(logic, "hull_membership", spy)
-        assert run("hull", corpus.data_path("fig1"), "--p", "A=1").exit_code == 0
-        assert seen == [Fraction(1, 10**9)]
+        monkeypatch.setattr(logic, "feasibility", spy)
+        # A and B share a context, so the exact LP fails and the band LP,
+        # whose rows w_i + r_i = 2 tol follow the five atom rows, runs
+        result = run("hull", corpus.data_path("fig1"), "--p", "A=1,B=1")
+        assert result.exit_code == 1
+        assert len(seen) == 2
+        assert seen[1][5:10] == [Fraction(2, 10**9)] * 5
 
     def test_hull_margin_beyond_the_int_string_limit(self):
         # every denominator fits the limit on digits of int-to-str, but the
-        # margin's does not: str() raises ValueError, which exits 2 and is
-        # not read as an "outside" verdict
+        # margin's does not: that exits 2, is not read as an "outside"
+        # verdict, and names no interpreter call the user cannot make
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
@@ -620,7 +625,30 @@ class TestBadInputExits2:
             result = run("hull", corpus.data_path("fig1"), "--p", p)
         finally:
             sys.set_int_max_str_digits(limit)
-        assert_usage_error(result, "Exceeds the limit (4300 digits)")
+        assert_usage_error(result, "Error: the exact result has a number of "
+                           "more than 4300 digits and is too long to print\n")
+        assert "set_int_max_str_digits" not in result.output
+
+    @pytest.mark.parametrize("command,file,options", [
+        ("realize", "fig1", "--dim 1"),
+        ("realize", "fig1", "--dim 3 --restarts 0"),
+        ("realize", "fig1", "--dim 3 --seed -1"),
+        ("uniq check", "psi2", "--rotations -3"),
+        ("uniq check", "psi2", "--rotations 2 --seed -1"),
+        ("uniq check", "psi2", "--tol -1"),
+        ("uniq check", "psi2", "--tol nan"),
+        ("hull", "fig1", "--p A=1 --tol -1"),
+        ("hull", "fig1", "--p A=1 --tol tiny"),
+        ("hull", "fig1", "--p A=1 --tol 1e-1000000"),
+        ("hull", "fig1", "--p A=1/0"),
+    ])
+    def test_engine_refuses_the_option_value(self, command, file, options):
+        # the command passes the option on as int, float or text, and the
+        # engine's ValueError exits 2 under the command's usage line
+        result = run(*command.split(), corpus.data_path(file), *options.split())
+        assert_usage_error(result, "\nError: ")
+        assert result.output.startswith(f"usage: qlctx {command} ")
+        assert "Traceback" not in result.output
 
     def test_uniq_tol_leaves_no_amplitude(self):
         # psi3 is not unique; a tolerance above every amplitude must not

@@ -2,6 +2,7 @@ import gc
 import itertools
 import re
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -677,6 +678,29 @@ class TestHullMembership:
             hull_membership(single_context(), {"A": 1}, tol=value)
         with pytest.raises(ValueError, match="not a finite number"):
             hull_membership(single_context(), {"A": value})
+
+    def test_huge_decimal_exponent_is_refused_at_once(self):
+        # Fraction would build 10**3000000, which takes seconds: the text is
+        # refused before it is read, as a value and as a tolerance
+        fig1 = corpus.load("fig1")
+        for p, tol, what in (({"A": "1e-3000000"}, "1e-9", "probability value"),
+                             ({"A": "1/2"}, "1e-3000000", "tolerance")):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"^{what} '1e-3000000' has a "
+                               "decimal exponent beyond 1000 in magnitude$"):
+                hull_membership(fig1, p, tol=tol)
+            assert time.perf_counter() - start < 0.1
+        # the bound itself is read
+        assert not hull_membership(fig1, {"A": "1e-1000"}, tol="1e-1000").inside
+
+    def test_unreadable_text_is_refused(self):
+        # Fraction raises ZeroDivisionError on '1/0'
+        fig1 = corpus.load("fig1")
+        with pytest.raises(ValueError,
+                           match="^probability value '1/0' is not a finite number$"):
+            hull_membership(fig1, {"A": "1/0"})
+        with pytest.raises(ValueError, match="^tolerance '1/0' is not a finite number$"):
+            hull_membership(fig1, {"A": 1}, tol="1/0")
 
 
 class TestOrthogonalPairs:

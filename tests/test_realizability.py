@@ -187,6 +187,15 @@ class TestSearch:
         ok, violations = verify_realization(corpus.load("fig1"), result.realization)
         assert ok, violations
 
+    def test_negative_seed_is_refused_before_the_exact_stage(self, monkeypatch):
+        # fig1's integer witness needs no seed, yet -1 is no seed
+        def exact(diagram, margin):
+            raise AssertionError("the exact stage ran")
+
+        monkeypatch.setattr(realizability, "_exact_search", exact)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            search_realization(corpus.load("fig1"), 3, seed=-1)
+
     def test_fig2a_found(self):
         result = search_realization(corpus.load("fig2a"), 3, seed=0, restarts=5)
         assert result.success

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qlctx import uniqueness
 from qlctx.states import (
     MultipartiteState,
     apply_identical_local,
@@ -106,7 +107,7 @@ class TestCheckUniqueness:
         psi = catalog_state(name)
         largest = float(np.max(np.abs(psi.coeffs)))
         assert check_uniqueness(psi, tol=0.99 * largest).term_count >= 1
-        for tol in (largest, 5.0, float("inf"), float("nan")):
+        for tol in (largest, 5.0, float("inf")):
             with pytest.raises(ValueError, match="no nonzero amplitude"):
                 check_uniqueness(psi, tol=tol)
         # a rotation can raise the largest amplitude, but never above 1
@@ -124,6 +125,19 @@ class TestCheckUniqueness:
             with pytest.raises(ValueError, match="tolerance must be nonnegative"):
                 call()
         assert check_uniqueness(psi, tol=0.0).term_count == 3
+
+    def test_nan_tolerance_is_refused(self):
+        # no amplitude is above NaN, but NaN is no tolerance: it is refused
+        # as a negative one is, before it can empty the support
+        psi = catalog_state("psi2")
+        nan = float("nan")
+        for call in (lambda: check_uniqueness(psi, tol=nan),
+                     lambda: check_uniqueness_rotated(psi, 1, tol=nan),
+                     lambda: filter_outcome(psi, 0, "+", tol=nan),
+                     lambda: counterfactual_complete(psi, 0, "+", tol=nan)):
+            with pytest.raises(ValueError,
+                               match="^tolerance must be nonnegative, got nan$"):
+                call()
 
     @pytest.mark.parametrize("d, n, bound_mib", [(2, 16, 16), (3, 10, 9)])
     def test_dense_state_peak_memory(self, d, n, bound_mib):
@@ -187,6 +201,18 @@ class TestRotated:
         assert not results[0].report.overall
         with pytest.raises(ValueError, match="trials must be >= 0"):
             check_uniqueness_rotated(catalog_state("psi3"), -1)
+
+    @pytest.mark.parametrize("trials", [0, 2])
+    def test_negative_seed_is_refused_before_any_check(self, monkeypatch,
+                                                       trials):
+        # with no trials the seed is never drawn from, and with some numpy
+        # would refuse it in its own words
+        def check(psi, tol):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(uniqueness, "check_uniqueness", check)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            check_uniqueness_rotated(catalog_state("psi2"), trials, seed=-1)
 
     def test_identity_entry_is_the_check_of_psi(self):
         rng = np.random.default_rng(3)
@@ -266,6 +292,13 @@ class TestCounterfactual:
                 tracemalloc.stop()
             assert out.complete and len(out.determined) == 11
             assert peak < 3e6
+
+    def test_bool_site_is_refused(self):
+        # True would answer for site 1, as the bool outcome would for level 1
+        psi = catalog_state("psi3")
+        for call in (counterfactual_complete, filter_outcome):
+            with pytest.raises(ValueError, match="^site True is a bool"):
+                call(psi, True, "+")
 
     def test_bool_outcome_is_refused(self):
         # True is no label, and as level 1 it would mean '0'
