@@ -30,6 +30,7 @@ import collections
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 
 from . import _text
@@ -327,10 +328,17 @@ def _to_fraction(x, what: str) -> Fraction:
     """``x`` as an exact Fraction; ``what`` names the quantity in errors.
 
     A float enters with its exact binary value, and text as Fraction reads
-    it.  Text with a decimal exponent beyond MAX_EXPONENT in magnitude is
-    refused before the number is built, and so are text Fraction cannot
-    read ('1/0' included) and a float that is not finite."""
+    it.  Text with more digits than the interpreter's limit on the digits
+    of an int read from text, or with a decimal exponent beyond
+    MAX_EXPONENT in magnitude, is refused before the number is built, and
+    so are text Fraction cannot read ('1/0' included) and a float that is
+    not finite."""
     if isinstance(x, str):
+        limit = sys.get_int_max_str_digits()  # 0: no limit
+        # counted only past the limit's length, so short text pays nothing
+        if 0 < limit < len(x) and sum(map(str.isdigit, x)) > limit:
+            raise ValueError(f"{what} {x.strip()[:20]!r}... has more than "
+                             f"{limit} digits")
         match = _DECIMAL.fullmatch(x)
         digits = match[1].replace("_", "").lstrip("0") if match else ""
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
@@ -356,7 +364,8 @@ def hull_membership(diagram: GreechieDiagram, p, tol="1e-9") -> HullMembership:
     exactly, where a float enters with its binary value.  Text whose
     decimal exponent exceeds MAX_EXPONENT in magnitude ('1e-1001') is
     refused with ValueError before it is read, since the exact number
-    holds 10 to that power; so is text Fraction cannot read.
+    holds 10 to that power; so are text with more digits than the
+    interpreter reads into one int, and text Fraction cannot read.
     """
     for atom in p:
         if atom not in diagram.atoms:

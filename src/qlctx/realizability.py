@@ -135,7 +135,7 @@ def search_realization(
     coordinates; all are checked before any stage.
     """
     if dim < 2:
-        raise ValueError("realization dimension must be >= 2")
+        raise ValueError(f"realization dimension must be >= 2, got {dim}")
     if restarts < 1:
         raise ValueError("need at least one restart")
     if seed < 0:

@@ -40,23 +40,36 @@ def unitarity_defect(u) -> float:
 
 
 def kernel(m) -> list[np.ndarray]:
-    """Orthonormal basis of {v : ‖Mv‖ <= KERNEL_TOLERANCE·‖M‖·‖v‖}; empty
-    for a trivial kernel.
+    """Orthonormal basis of the kernel of an r × c matrix M of full rank:
+    the c - r vectors of a wide M's kernel, none for a square or tall M.
 
-    A real matrix is decomposed in real arithmetic and gives real vectors.
+    The basis is the trailing columns of Q in one complete Householder QR
+    factorization Mᴴ = QR, so it is orthonormal by construction.  Two
+    certificates are checked on every call: every |R_ii| must exceed
+    KERNEL_TOLERANCE times the largest, or M is refused with ValueError as
+    not of full rank; and ‖Mv‖ must be at most KERNEL_TOLERANCE times the
+    largest |R_jj| for every returned v, or ArithmeticError is raised.  A
+    real matrix is factored in real arithmetic and gives real vectors.
     """
     m = np.asarray(m)
     m = m.astype(complex if np.iscomplexobj(m) else float)
     if m.ndim != 2:
         raise ValueError("kernel expects a matrix")
-    _, sing, vh = np.linalg.svd(m)
-    smax = float(sing[0]) if sing.size else 0.0
-    vecs = []
-    for i in range(m.shape[1]):
-        s_i = float(sing[i]) if i < sing.size else 0.0
-        if s_i <= KERNEL_TOLERANCE * smax:
-            vecs.append(vh[i].conj())
-    return vecs
+    q, r = np.linalg.qr(m.conj().T, mode="complete")
+    pivots = np.abs(np.diagonal(r))
+    scale = float(pivots.max(initial=0.0))
+    # written so that a NaN entry fails too
+    if not np.all(pivots > KERNEL_TOLERANCE * scale):
+        raise ValueError("kernel expects a matrix of full rank; the smallest "
+                         f"|R_ii| is {float(pivots.min()):.3g} of {scale:.3g} "
+                         "in the QR factorization of its adjoint")
+    basis = q[:, m.shape[0]:]
+    residual = np.linalg.norm(m @ basis, axis=0)
+    if not np.all(residual <= KERNEL_TOLERANCE * scale):
+        raise ArithmeticError(f"kernel vector with residual "
+                              f"{float(residual.max()):.3g} against a scale of "
+                              f"{scale:.3g}")
+    return list(basis.T)
 
 
 def spin_matrices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -260,8 +273,13 @@ def singlet_subspace(d: int, n: int) -> list[MultipartiteState]:
     so the singlets are the kernel of total S₊ restricted to the M = 0 weight
     sector, embedded back into the full d**n vector.  The basis size is the
     multiplicity of total spin zero in the n-fold product; the basis itself
-    is one orthonormal choice among many.  No (d**n)² matrix is built.  The
-    kernel's singular-value cut is the fixed ``KERNEL_TOLERANCE``.
+    is one orthonormal choice among many.  No (d**n)² matrix is built.
+
+    Every irrep with an M = 1 weight has spin s >= 1 and so an M = 0 weight
+    too, which S₊ raises to it with the nonzero factor √(s(s+1)).  So S₊
+    maps the M = 0 sector onto the M = 1 sector: its N₁ × N₀ matrix has
+    full row rank, and ``kernel`` takes the N₀ - N₁ null vectors, one per
+    spin-0 irrep, from one QR factorization.
     """
     _check_site_space(d, n)
     check_total_dim(d, n)
@@ -360,7 +378,7 @@ def is_form_invariant(
     ``trials`` sampled spin rotations U.  Returns (verdict, worst overlap
     seen)."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ValueError(f"trials must be >= 1, got {trials}")
     worst = 1.0
     for _, rotated in identical_rotations(psi, trials, seed):
         worst = min(worst, psi.overlap(rotated))

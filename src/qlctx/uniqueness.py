@@ -219,7 +219,7 @@ def check_uniqueness_rotated(
     check runs.
     """
     if trials < 0:
-        raise ValueError("trials must be >= 0")
+        raise ValueError(f"trials must be >= 0, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     identity = RotationSample((0.0, 0.0, 1.0), 0.0,

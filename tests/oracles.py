@@ -7,8 +7,9 @@ the random-diagram generator, the diagram families with closed-form
 state counts, the saturation scan, an exact check of integer witnesses,
 scipy's L-BFGS-B that the realization search replaced, spin states built
 from label words, the per-axis ``tensordot`` contraction that the plain
-matrix products of ``apply_local`` replaced, and the numpy context
-operators that the pure-Python ``contexts`` module replaced.
+matrix products of ``apply_local`` replaced, the SVD kernel that the QR
+kernel of ``states.kernel`` replaced, and the numpy context operators that
+the pure-Python ``contexts`` module replaced.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from qlctx.logic import GreechieDiagram, make_diagram
-from qlctx.states import SITE_LABELS, MultipartiteState
+from qlctx.states import KERNEL_TOLERANCE, SITE_LABELS, MultipartiteState
 
 MAX_ORACLE_ATOMS = 28
 
@@ -169,6 +170,24 @@ def from_terms(sites: int, site_dim: int, terms) -> MultipartiteState:
             idx = idx * site_dim + labels.index(ch)
         c[idx] += amp
     return MultipartiteState(sites, site_dim, c)
+
+
+def reference_kernel(m) -> list[np.ndarray]:
+    """Orthonormal basis of {v : ‖Mv‖ <= KERNEL_TOLERANCE·‖M‖·‖v‖} from a
+    full SVD, for a matrix of any rank; empty for a trivial kernel.  A real
+    matrix is decomposed in real arithmetic and gives real vectors."""
+    m = np.asarray(m)
+    m = m.astype(complex if np.iscomplexobj(m) else float)
+    if m.ndim != 2:
+        raise ValueError("kernel expects a matrix")
+    _, sing, vh = np.linalg.svd(m)
+    smax = float(sing[0]) if sing.size else 0.0
+    vecs = []
+    for i in range(m.shape[1]):
+        s_i = float(sing[i]) if i < sing.size else 0.0
+        if s_i <= KERNEL_TOLERANCE * smax:
+            vecs.append(vh[i].conj())
+    return vecs
 
 
 def reference_apply_local(psi: MultipartiteState, unitaries) -> np.ndarray:

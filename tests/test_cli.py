@@ -510,6 +510,15 @@ class TestBadInputExits2:
                      "--rotations", "-3")
         assert_usage_error(result, "--rotations")
 
+    @pytest.mark.parametrize("command,file,options,message", [
+        ("realize", "fig1", "--dim 1", "realization dimension must be >= 2, got 1"),
+        ("realize", "fig1", "--dim -7", "realization dimension must be >= 2, got -7"),
+        ("uniq check", "psi2", "--rotations -3", "trials must be >= 0, got -3"),
+    ])
+    def test_engine_names_the_bad_value(self, command, file, options, message):
+        result = run(*command.split(), corpus.data_path(file), *options.split())
+        assert_usage_error(result, f"\nError: {message}\n")
+
     def test_qs_negative_sites(self, tmp_path):
         qs = tmp_path / "neg.qs"
         qs.write_text("# no sites\nsites -1\ndim 3\n1 0\n")
@@ -594,6 +603,21 @@ class TestBadInputExits2:
                            "'1e-5000' has a decimal exponent")
         # the bound itself is allowed
         assert run("hull", fig1, "--p", "A=1e-1000").exit_code == 1
+
+    def test_hull_text_beyond_the_digit_limit(self):
+        # Fraction cannot read an int of more digits than the interpreter's
+        # limit: the text is refused for its length, and only its first
+        # characters are echoed
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            result = run("hull", corpus.data_path("fig1"),
+                         "--p", "A=0." + "0" * 5000 + "1")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert_usage_error(result, "Error: probability value '0.000000000000000000'"
+                           "... has more than 4300 digits\n")
+        assert max(len(line) for line in result.output.splitlines()) < 200
 
     def test_default_tol_enters_the_lp_exactly(self, monkeypatch):
         from qlctx import logic

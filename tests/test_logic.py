@@ -693,6 +693,26 @@ class TestHullMembership:
         # the bound itself is read
         assert not hull_membership(fig1, {"A": "1e-1000"}, tol="1e-1000").inside
 
+    def test_text_beyond_the_digit_limit_is_refused(self):
+        # Fraction reads its ints under the interpreter's digit limit; text
+        # past it is refused for its length, with a short prefix echoed
+        fig1 = corpus.load("fig1")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for p, tol, what, head in (
+                    ({"A": "0." + "0" * 5000 + "1"}, "1e-9", "probability value",
+                     "0.000000000000000000"),
+                    ({"A": "1/2"}, " 1/" + "3" * 4300, "tolerance",
+                     "1/333333333333333333")):
+                with pytest.raises(ValueError, match=f"^{what} '{re.escape(head)}'\\.\\.\\. "
+                                   "has more than 4300 digits$"):
+                    hull_membership(fig1, p, tol=tol)
+            # the limit itself is read
+            assert not hull_membership(fig1, {"A": "0." + "0" * 4298 + "1"}).inside
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_unreadable_text_is_refused(self):
         # Fraction raises ZeroDivisionError on '1/0'
         fig1 = corpus.load("fig1")

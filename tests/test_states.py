@@ -28,13 +28,14 @@ from qlctx.states import (
     write_qs,
 )
 
-from oracles import from_terms, reference_apply_local
+from oracles import from_terms, reference_apply_local, reference_kernel
 
 
 def dense_singlet_kernel(d, n):
-    """Oracle: kernel of the dense (d**n)² Casimir S_x² + S_y² + S_z²."""
+    """Oracle: SVD kernel of the dense (d**n)² Casimir S_x² + S_y² + S_z²,
+    a matrix far from full row rank."""
     sx, sy, sz = spin_total_operators(d, n)
-    return kernel(sx @ sx + sy @ sy + sz @ sz)
+    return reference_kernel(sx @ sx + sy @ sy + sz @ sz)
 
 
 def kron_all(mats):
@@ -544,11 +545,41 @@ class TestStateValue:
 
 def test_kernel_trivial_cases():
     assert kernel(np.eye(3)) == []
-    zero_kernel = kernel(np.zeros((3, 3)))
-    assert len(zero_kernel) == 3
-    axis = kernel(np.diag([0.0, 1.0, 2.0]))
-    assert len(axis) == 1
-    assert abs(abs(axis[0][0]) - 1.0) < 1e-12
+    # the QR kernel takes matrices of full rank only
+    for m in (np.zeros((3, 3)), np.diag([0.0, 1.0, 2.0]), np.ones((3, 2)),
+              np.full((2, 3), np.nan)):
+        with pytest.raises(ValueError, match="full rank"):
+            kernel(m)
+
+
+@pytest.mark.parametrize("rows,cols",
+                         [(1, 4), (3, 7), (5, 6), (6, 6), (7, 3), (40, 57)])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_kernel_matches_reference_kernel(rows, cols, field):
+    # random matrices have full rank; a complex one tells mᴴ from mᵀ
+    rng = np.random.default_rng(rows * 100 + cols)
+    m = rng.standard_normal((rows, cols))
+    if field == "complex":
+        m = m + 1j * rng.standard_normal((rows, cols))
+    got, want = kernel(m), reference_kernel(m)
+    assert len(got) == len(want) == max(cols - rows, 0)
+    assert np.max(np.abs(projector(got, cols) - projector(want, cols))) < 1e-9
+    if field == "real":
+        assert all(v.dtype == np.float64 for v in got)
+
+
+def test_kernel_checks_its_residual(monkeypatch):
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+    qr = np.linalg.qr
+
+    def perturbed(a, mode="reduced"):
+        q, r = qr(a, mode=mode)
+        return q + 1e-6 * rng.standard_normal(q.shape), r
+
+    monkeypatch.setattr(np.linalg, "qr", perturbed)
+    with pytest.raises(ArithmeticError):
+        kernel(m)
 
 
 def test_kernel_real_matrix_gives_real_vectors():
@@ -568,6 +599,11 @@ def test_kernel_orthonormal():
         for j, w in enumerate(vecs):
             want = 1.0 if i == j else 0.0
             assert abs(np.vdot(u, w) - want) < 1e-12
+
+
+def test_form_invariance_names_the_bad_trial_count():
+    with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
+        is_form_invariant(catalog_state("psi2"), trials=0)
 
 
 def test_spin_matrices_commutator():
