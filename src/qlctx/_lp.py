@@ -15,6 +15,13 @@ exact arithmetic gives clean, bitwise reproducible certificates.
   ``row_i <- (piv·row_i - T[i][c]·row_r) // D`` and then sets D <- piv;
   each division is exact, because every entry of T is a minor of the
   starting tableau.
+- Almost every pivot equals D, and then the update is done in place and
+  only where a row can change.  With f = T[i][c] and w = T[r][j], the new
+  entry is (D·v - f·w) / D = v - f·w / D, so a row with f = 0 stays as it
+  is, and a row with f != 0 changes only at the pivot row's nonzero
+  columns, by ``row_i[j] -= f·w // D``.  That division is exact too: the
+  new entry is an integer minor, so D divides D·v - f·w and with it f·w.
+  ``_eliminate`` builds new rows by the full rule only when piv != D.
 - Scaling b changes every ratio of the ratio test by the same factor L, and
   D > 0 keeps every sign.  So the entering columns (Bland's rule) and the
   leaving rows (smallest ratio, compared by cross-multiplication, ties
@@ -30,6 +37,7 @@ exact arithmetic gives clean, bitwise reproducible certificates.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm
 
@@ -38,15 +46,24 @@ def feasibility(a, b):
     """Decide {x >= 0 : A x = b} for an integer A and a rational b.
 
     Entries of A are ints (or integral Fractions); a non-integer entry is a
-    ValueError.  Returns ("feasible", x, None) with an exact basic
-    solution, or ("infeasible", None, y) with an exact Farkas certificate
-    satisfying y·A <= 0 componentwise and y·b > 0.  x and y are lists of
-    Fractions.
+    ValueError, and so is an A with no rows or with rows of differing
+    lengths, or a b whose length is not A's number of rows.  Returns
+    ("feasible", x, None) with an exact basic solution, or ("infeasible",
+    None, y) with an exact Farkas certificate satisfying y·A <= 0
+    componentwise and y·b > 0.  x and y are lists of Fractions.
     """
-    a = [[_integer(v) for v in row] for row in a]
+    a = [[v if type(v) is int else _integer(v) for v in row] for row in a]
     b = [Fraction(v) for v in b]
     m = len(a)
-    n = len(a[0]) if m else 0
+    if not m:
+        raise ValueError("constraint matrix has no rows")
+    n = len(a[0])
+    if any(len(row) != n for row in a):
+        raise ValueError("constraint matrix rows differ in length")
+    if len(b) != m:
+        raise ValueError(
+            f"right-hand side has {len(b)} entries for {m} constraint rows"
+        )
     scale = lcm(*(v.denominator for v in b))
     b_scaled = [v.numerator * (scale // v.denominator) for v in b]
     sign = [-1 if v < 0 else 1 for v in b_scaled]
@@ -87,12 +104,12 @@ def feasibility(a, b):
     if -cost[-1] > 0:
         # y = Y / d with Y_i = sign_i·(d - cost[n + i])
         y_num = [sign[i] * (d - cost[n + i]) for i in range(m)]
-        for j in range(n):
-            if sum(y_num[i] * a[i][j] for i in range(m)) > 0:
+        for j, column in enumerate(zip(*a)):
+            if sum(map(operator.mul, y_num, column)) > 0:
                 raise ArithmeticError(
                     f"Farkas certificate fails y·A <= 0 at column {j}"
                 )
-        if sum(y_num[i] * b_scaled[i] for i in range(m)) <= 0:
+        if sum(map(operator.mul, y_num, b_scaled)) <= 0:
             raise ArithmeticError("Farkas certificate fails y·b > 0")
         return "infeasible", None, [Fraction(v, d) for v in y_num]
 
@@ -101,8 +118,8 @@ def feasibility(a, b):
     for i, var in enumerate(basis):
         if var < n:
             x_num[var] = rows[i][-1]
-    for i in range(m):
-        if sum(a[i][j] * x_num[j] for j in range(n)) != d * b_scaled[i]:
+    for i, row in enumerate(a):
+        if sum(map(operator.mul, row, x_num)) != d * b_scaled[i]:
             raise ArithmeticError(
                 f"basic solution fails A·x = b at row {i}"
             )
@@ -124,20 +141,28 @@ def _pivot(rows, cost, basis, r, c, d):
     new denominator."""
     pivot_row = rows[r]
     piv = pivot_row[c]
-    for i, row in enumerate(rows):
-        if i != r:
-            rows[i] = _eliminate(row, piv, pivot_row, c, d)
-    cost[:] = _eliminate(cost, piv, pivot_row, c, d)
+    if piv == d:
+        # in place: only rows with f != 0 change (the cost row sits last,
+        # at index m != r), and only at the pivot row's nonzero columns
+        support = [(j, w) for j, w in enumerate(pivot_row) if w]
+        for i, row in enumerate([*rows, cost]):
+            f = row[c]
+            if f and i != r:
+                for j, w in support:
+                    row[j] -= f * w // d
+    else:
+        for i, row in enumerate(rows):
+            if i != r:
+                rows[i] = _eliminate(row, piv, pivot_row, c, d)
+        cost[:] = _eliminate(cost, piv, pivot_row, c, d)
     basis[r] = c
     return piv
 
 
 def _eliminate(row, piv, pivot_row, c, d):
-    """(piv·row - row[c]·pivot_row) // d; a row with row[c] = 0 is only
-    rescaled, and kept as it is when piv = d."""
+    """(piv·row - row[c]·pivot_row) // d for piv != d; a row with
+    row[c] = 0 is only rescaled."""
     f = row[c]
     if f == 0:
-        if piv == d:
-            return row
         return [v * piv // d for v in row]
     return [(piv * v - f * w) // d for v, w in zip(row, pivot_row)]

@@ -988,6 +988,15 @@ class TestLeanImports:
                 f"main(['saturate', {str(corpus.data_path('fig2a'))!r}])")
         assert _heavy_modules_after(code) == []
 
+    def test_hull_leaves_out_numpy_and_scipy(self):
+        # the point lies outside, so main exits 1 with the Farkas functional
+        code = ("from qlctx.cli import main\ntry:\n"
+                f"    main(['hull', {str(corpus.data_path('fig1'))!r},"
+                " '--p', 'A=1,B=1/2', '--json'])\n"
+                "except SystemExit as exc:\n"
+                "    if exc.code != 1:\n        raise\n")
+        assert _heavy_modules_after(code) == []
+
     def test_realize_leaves_out_scipy(self):
         code = ("from qlctx.cli import main\n"
                 f"main(['realize', {str(corpus.data_path('fig2a'))!r}, '--dim', '3',"

@@ -498,7 +498,36 @@ def _shifted_point(diagram, p):
     return q
 
 
+def _dense_pivot(rows, cost, r, c, d):
+    """Every row but the pivot row, and the cost row, rebuilt in full by
+    (piv·v - f·w) // d, each division checked to be exact."""
+    pivot_row = rows[r]
+    piv = pivot_row[c]
+
+    def eliminate(row):
+        f = row[c]
+        out = [divmod(piv * v - f * w, d) for v, w in zip(row, pivot_row)]
+        assert all(rest == 0 for _, rest in out)
+        return [q for q, _ in out]
+
+    return ([list(row) if i == r else eliminate(row)
+             for i, row in enumerate(rows)], eliminate(cost))
+
+
 class TestIntegerTableau:
+    @pytest.fixture
+    def pivot_kinds(self, monkeypatch):
+        """The set of `piv == d` values over every _lp._pivot call."""
+        kinds = set()
+        pivot = _lp._pivot
+
+        def spied(rows, cost, basis, r, c, d):
+            kinds.add(rows[r][c] == d)
+            return pivot(rows, cost, basis, r, c, d)
+
+        monkeypatch.setattr(_lp, "_pivot", spied)
+        return kinds
+
     def _hull_lps(self, monkeypatch, diagram, p, tol):
         """(A, b, result) of every LP that hull_membership solves."""
         seen = []
@@ -532,12 +561,14 @@ class TestIntegerTableau:
         # 55×136 band LP), so fig3 runs at the default tolerance only
         ("fig3", (1e-9,)),
     ])
-    def test_corpus_hulls_match_fraction_simplex(self, monkeypatch, name,
-                                                 tols):
+    def test_corpus_hulls_match_fraction_simplex(self, monkeypatch,
+                                                 pivot_kinds, name, tols):
         statuses = self._agree(monkeypatch, corpus.load(name), 3, tols)
         assert {"feasible", "infeasible"} <= set(statuses)
+        assert True in pivot_kinds
 
-    def test_random_hulls_match_fraction_simplex(self, monkeypatch):
+    def test_random_hulls_match_fraction_simplex(self, monkeypatch,
+                                                 pivot_kinds):
         checked = 0
         for seed in range(30):
             d = random_diagram(np.random.default_rng(seed), 12)
@@ -545,6 +576,35 @@ class TestIntegerTableau:
                 self._agree(monkeypatch, d, seed)
                 checked += 1
         assert checked >= 20
+        # both branches of _pivot ran: in place (piv == d) and _eliminate
+        assert pivot_kinds == {True, False}
+
+    @pytest.mark.parametrize("r, c, in_place", [(1, 2, True), (2, 2, False)])
+    def test_pivot_matches_the_dense_rule(self, monkeypatch, r, c, in_place):
+        # the starting tableau [A | I | b] of rows [2 1 0 1], [1 0 1 2],
+        # [0 1 3 0] and b = (4, 3, 5), after one pivot on (0, 0): d = 2
+        rows = [[2, 1, 0, 1, 1, 0, 0, 4],
+                [0, -1, 2, 3, -1, 2, 0, 2],
+                [0, 2, 6, 0, 0, 0, 2, 10]]
+        cost = [0, -1, -8, -3, 3, 0, 0, -12]
+        basis, d = [0, 5, 6], 2
+        want_rows, want_cost = _dense_pivot(rows, cost, r, c, d)
+        before = list(rows)
+        eliminated = []
+        eliminate = _lp._eliminate
+
+        def spied(row, *args):
+            eliminated.append(row)
+            return eliminate(row, *args)
+
+        monkeypatch.setattr(_lp, "_eliminate", spied)
+        assert _lp._pivot(rows, cost, basis, r, c, d) == rows[r][c]
+        assert (rows, cost, basis[r]) == (want_rows, want_cost, c)
+        # piv == d updates the row lists in place and never calls
+        # _eliminate; piv != d rebuilds the two other rows and the cost row
+        assert (rows[r][c] == d) == in_place
+        assert all(new is old for new, old in zip(rows, before)) == in_place
+        assert len(eliminated) == (0 if in_place else 3)
 
     def test_tied_ratios_match_fraction_simplex(self):
         # duplicate rows and columns make every ratio test tie
@@ -557,6 +617,15 @@ class TestIntegerTableau:
     def test_non_integer_matrix_is_refused(self, entry):
         with pytest.raises(ValueError, match="not an integer"):
             _lp.feasibility([[entry, 1]], [1])
+
+    @pytest.mark.parametrize("a, b, message", [
+        ([], [], "no rows"),
+        ([[1, 1], [1]], [1, 1], "differ in length"),
+        ([[1, 1]], [1, 5], "2 entries for 1 constraint rows"),
+    ], ids=["no rows", "ragged rows", "b longer than A"])
+    def test_malformed_system_is_refused(self, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            _lp.feasibility(a, b)
 
     def test_integral_fractions_are_accepted(self):
         got = _lp.feasibility([[Fraction(2), Fraction(1)]], [Fraction(1, 3)])
