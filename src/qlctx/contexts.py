@@ -5,6 +5,11 @@ orthonormal basis paired with mutually distinct eigenvalues; observables
 shared between contexts (link observables) are the basis rays common to
 both.
 
+Every number is checked here: a non-finite angle or eigenvalue is refused,
+and so is an operator or a commutator with an entry, or the magnitude of
+one, out of floating-point range (finite eigenvalues near the float limit
+can overflow).
+
 Pure Python, like ``logic``: a matrix is a list of rows, each a list of
 ``complex``, and every function returns matrices in that form.  Inputs may
 be any square nested sequence of numbers, numpy arrays included, but
@@ -13,6 +18,7 @@ nothing here imports numpy.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 
@@ -21,15 +27,10 @@ import math
 CONTEXT_TOLERANCE = 1e-9
 
 
-class Context:
+class Context(collections.namedtuple("Context", "basis eigenvalues operator")):
     """Orthonormal basis (rows), distinct eigenvalues, and the cached operator."""
 
-    __slots__ = ("basis", "eigenvalues", "operator")
-
-    def __init__(self, basis, eigenvalues, operator):
-        self.basis = basis
-        self.eigenvalues = eigenvalues
-        self.operator = operator
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -48,6 +49,14 @@ def _square(a, message: str) -> list[list[complex]]:
     return rows
 
 
+def _in_range(matrix) -> list[list[complex]]:
+    """``matrix``; ValueError unless every entry and its magnitude are finite."""
+    if not all(math.isfinite(math.hypot(z.real, z.imag))
+               for row in matrix for z in row):
+        raise ValueError("result out of floating-point range")
+    return matrix
+
+
 def _dot(u, w) -> complex:
     """sum_k u_k w_k, added in index order."""
     total = 0j
@@ -64,29 +73,34 @@ def dyad(v) -> list[list[complex]]:
     """Rank-1 orthogonal projector v v†/‖v‖² onto the ray spanned by v."""
     v = [complex(x) for x in v]
     n2 = _dot(v, _conj(v)).real
-    if n2 == 0.0 or not math.isfinite(n2):
+    if not math.isfinite(n2):
+        raise ValueError(f"dyad: squared norm {n2!r} is not finite")
+    if n2 == 0.0:
         raise ValueError("dyad of a zero vector")
     return [[x * y.conjugate() / n2 for y in v] for x in v]
 
 
 def commutator(a, b) -> list[list[complex]]:
-    """AB - BA of two square matrices of one size."""
+    """AB - BA of two square matrices of one size; ValueError when an entry
+    is out of floating-point range."""
     a = _square(a, "commutator expects square matrices")
     b = _square(b, "commutator expects square matrices")
     if len(a) != len(b):
         raise ValueError("commutator expects matrices of one size")
     a_cols, b_cols = list(zip(*a)), list(zip(*b))
-    return [[_dot(a_row, b_col) - _dot(b_row, a_col)
-             for b_col, a_col in zip(b_cols, a_cols)]
-            for a_row, b_row in zip(a, b)]
+    return _in_range([[_dot(a_row, b_col) - _dot(b_row, a_col)
+                       for b_col, a_col in zip(b_cols, a_cols)]
+                      for a_row, b_row in zip(a, b)])
 
 
 def context_operator(basis, eigenvalues) -> Context:
     """Build the maximal operator sum_i e_i |b_i><b_i| of a context.
 
-    The basis rows must be orthonormal and the eigenvalues mutually
-    distinct (a repeated eigenvalue would make the operator degenerate and
-    the context ill-defined), both to within the fixed CONTEXT_TOLERANCE.
+    The basis rows must be orthonormal and the eigenvalues finite and
+    mutually distinct (a repeated eigenvalue would make the operator
+    degenerate and the context ill-defined), both to within the fixed
+    CONTEXT_TOLERANCE, and every entry of the operator must be in
+    floating-point range.
     """
     basis = _square(basis, "basis must be a square matrix of row vectors")
     n = len(basis)
@@ -97,6 +111,9 @@ def context_operator(basis, eigenvalues) -> Context:
     eigenvalues = tuple(float(e) for e in eigenvalues)
     if len(eigenvalues) != n:
         raise ValueError("need one eigenvalue per basis vector")
+    for e in eigenvalues:
+        if not math.isfinite(e):
+            raise ValueError(f"eigenvalue {e!r} is not a finite number")
     for a, b in itertools.combinations(eigenvalues, 2):
         if abs(a - b) <= CONTEXT_TOLERANCE:
             raise ValueError(
@@ -107,15 +124,17 @@ def context_operator(basis, eigenvalues) -> Context:
         for op_row, p_row in zip(op, dyad(v)):
             for k, p in enumerate(p_row):
                 op_row[k] += e * p
-    return Context(basis, eigenvalues, op)
+    return Context(basis, eigenvalues, _in_range(op))
 
 
 def two_tripod_bases(phi: float) -> tuple[list, list]:
     """The two interlinked dimension-3 bases sharing the (0,0,1) leg.
 
     Returns the standard basis and its rotation by ``phi`` about the shared
-    third axis (rows are basis vectors).
+    third axis (rows are basis vectors); ``phi`` must be finite.
     """
+    if not math.isfinite(phi):
+        raise ValueError(f"phi {phi!r} is not a finite number")
     c, s = math.cos(phi), math.sin(phi)
     first = [[1 + 0j, 0j, 0j], [0j, 1 + 0j, 0j], [0j, 0j, 1 + 0j]]
     second = [[complex(c), complex(s), 0j], [complex(-s), complex(c), 0j],

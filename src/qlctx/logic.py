@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import collections
 import itertools
-import math
 import re
 import sys
 from fractions import Fraction
@@ -125,8 +124,6 @@ def parse_diagram(text: str) -> GreechieDiagram:
         elif keyword == "atoms":
             declared = (declared or []) + rest
         elif keyword == "context":
-            if len(rest) < 2:
-                raise ParseError("context needs at least two atoms", lineno)
             contexts.append(tuple(rest))
             lines.append(lineno)
         else:

@@ -20,6 +20,7 @@ check draw their rotations from one seeded stream.
 from __future__ import annotations
 
 import collections
+import math
 from collections.abc import Iterator
 from functools import reduce
 
@@ -90,13 +91,19 @@ def spin_matrices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def rotation_unitary(d: int, axis, angle: float) -> np.ndarray:
-    """exp(-i·angle·(n̂·S)) on the d-dimensional spin space, d in {2, 3}."""
+    """exp(-i·angle·(n̂·S)) on the d-dimensional spin space, d in {2, 3};
+    the angle and the axis's norm must be finite, and the axis nonzero."""
     if d not in (2, 3):
         raise ValueError("rotation_unitary supports spin dimensions 2 and 3 only")
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle {angle!r} is not a finite number")
     axis = np.asarray(axis, dtype=float).reshape(-1)
     if axis.shape != (3,):
         raise ValueError("axis must be a real 3-vector")
     norm = float(np.linalg.norm(axis))
+    if not math.isfinite(norm):
+        raise ValueError(f"axis {tuple(axis.tolist())} has a norm that is "
+                         "not a finite number")
     if norm == 0.0:
         raise ValueError("axis must be nonzero")
     n = axis / norm

@@ -85,6 +85,17 @@ class TestStatesCommands:
         result = run("states", "enumerate", gd)
         assert result.exit_code == 1
 
+    def test_classify_nonunital_text(self, tmp_path):
+        # x0 = 1 would zero every atom of the first context, so x0 is
+        # never true
+        gd = tmp_path / "nonunital.gd"
+        gd.write_text("context x6 x4 x5\ncontext x5 x2 x0\n"
+                      "context x1 x0 x4\ncontext x3 x0 x6\n")
+        result = run("states", "classify", gd)
+        assert result.exit_code == 1
+        assert result.output == ("class: nonunital (3 two-valued states)\n"
+                                 "atoms never true: x0\n")
+
 
 class TestHullCommand:
     def test_vertex_inside(self):
@@ -98,6 +109,12 @@ class TestHullCommand:
         )
         assert result.exit_code == 1
         check_golden("hull_outside_fig1.json", result.output)
+
+    def test_empty_pieces_are_skipped(self):
+        result = run("hull", corpus.data_path("fig1"), "--p", "A=1,,B=0,",
+                     "--json")
+        assert result.exit_code == 0
+        check_golden("hull_inside_fig1.json", result.output)
 
     def test_bad_assignment_usage_error(self):
         result = run("hull", corpus.data_path("fig1"), "--p", "A;1")
@@ -456,6 +473,12 @@ class TestContextCommands:
         result = run("context", "op", "--phi", "0.5", "--eigs", "1,1,2")
         assert result.exit_code == 2
 
+    def test_context_op_eigenvalue_text(self):
+        # the command converts the text; the engine checks the numbers
+        result = run("context", "op", "--phi", "0.5", "--eigs", "1,x,2")
+        assert_usage_error(
+            result, "Error: --eigs: could not convert string to float: 'x'")
+
     def test_split_json(self, tmp_path):
         mat = tmp_path / "matrix.txt"
         mat.write_text("1+2j 3\n0 4j\n")
@@ -747,12 +770,14 @@ class TestBadInputExits2:
             assert_usage_error(result, f"line 2: {entry!r} is not a finite number")
 
     def test_context_op_non_finite(self):
+        # contexts refuses the numbers, for the command line and for
+        # library callers alike
         result = run("context", "op", "--phi", "0.5", "--eigs", "nan,1,2",
                      "--json")
-        assert_usage_error(result, "--eigs: 'nan' is not a finite number")
+        assert_usage_error(result, "Error: eigenvalue nan is not a finite number")
         for phi in ("nan", "inf"):
             result = run("context", "op", "--phi", phi)
-            assert_usage_error(result, f"--phi: {phi} is not a finite number")
+            assert_usage_error(result, f"Error: phi {phi} is not a finite number")
 
     # a warning fails these two tests: none may reach stderr
     @pytest.mark.filterwarnings("error")

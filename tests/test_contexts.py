@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,56 @@ def test_dyad_normalizes_and_projects():
 def test_dyad_zero_vector():
     with pytest.raises(ValueError):
         contexts.dyad([0, 0, 0])
+
+
+NAN, INF, MAX = float("nan"), float("inf"), sys.float_info.max
+
+
+def overflowing_operators():
+    """The standard context and the phi = 0.7 context with eigenvalues
+    1.7e308, 1.6e308 and 0: both operators are finite, their commutator
+    is not."""
+    standard, rotated = two_tripod_bases(0.7)
+    return (context_operator(standard, (1.0, 2.0, 3.0)).operator,
+            context_operator(rotated, (1.7e308, 1.6e308, 0.0)).operator)
+
+
+class TestNumbersAreChecked:
+    """Every number of a context and every entry of a result is checked
+    here, so library callers get the refusals the command line gives."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: context_operator(two_tripod_bases(0.3)[1], (NAN, 1, 2)),
+         "eigenvalue nan is not a finite number"),
+        (lambda: context_operator(np.eye(3), (1, -INF, 2)),
+         "eigenvalue -inf is not a finite number"),
+        (lambda: two_tripod_bases(INF), "phi inf is not a finite number"),
+        (lambda: two_tripod_bases(NAN), "phi nan is not a finite number"),
+        # 2·0.5000000000000001·MAX overflows an off-diagonal entry
+        (lambda: context_operator(two_tripod_bases(0.785398163397449)[1],
+                                  (MAX, -MAX, 0)),
+         "result out of floating-point range"),
+        (lambda: commutator(*overflowing_operators()),
+         "result out of floating-point range"),
+        # each part is finite, the magnitude is not
+        (lambda: commutator([[0, 1], [0, 0]], [[0, 0], [0, 1.5e308 + 1.5e308j]]),
+         "result out of floating-point range"),
+        (lambda: contexts.dyad([1e200, 0]), "dyad: squared norm inf is not finite"),
+        (lambda: contexts.dyad([NAN, 0]), "dyad: squared norm nan is not finite"),
+        (lambda: contexts.dyad([0, 0]), "dyad of a zero vector"),
+        (lambda: commutator(np.eye(2), np.eye(3)),
+         "commutator expects matrices of one size"),
+        (lambda: commutator([1.0, 2.0], np.eye(2)),
+         "commutator expects square matrices"),
+        (lambda: context_operator(np.eye(3), (1.0, 2.0)),
+         "need one eigenvalue per basis vector"),
+    ], ids=["nan-eigenvalue", "inf-eigenvalue", "inf-phi", "nan-phi",
+            "operator-overflow", "commutator-overflow", "magnitude-overflow",
+            "dyad-overflow", "dyad-nan", "dyad-zero", "commutator-sizes",
+            "commutator-not-a-matrix", "eigenvalue-count"])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 def assert_matches(got, want, tol=1e-12):

@@ -117,6 +117,19 @@ class TestParse:
         with pytest.raises(ParseError, match="no contexts"):
             parse_diagram("# nothing here\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("atoms a a b\ncontext a b\n", "duplicate atom declaration"),
+        ("# one atom\ncontext a\n", "line 2: contexts need at least two atoms"),
+        ("context\ncontext a b\n", "line 1: contexts need at least two atoms"),
+        ("context a b c\ncontext a\n",
+         r"line 2: context \('a',\) has size 1, expected 3"),
+    ], ids=["duplicate-declaration", "one-atom-first", "no-atom-first",
+            "one-atom-later"])
+    def test_context_sizes_and_declarations(self, text, message):
+        # make_diagram checks the sizes, for the parser and library callers
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_diagram(text)
+
 
 class TestTwoValuedStates:
     def test_single_context(self):

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qlctx import _numerical, logic, realizability, saturation, states, uniqueness
+from qlctx import (_numerical, contexts, logic, realizability, saturation,
+                   states, uniqueness)
 
 ROTATION = states.RotationSample((0.0, 0.0, 1.0), 0.0, np.eye(2))
 REPORT = uniqueness.UniquenessReport((True, False), {(0, "+"): {1: ("+", "-")}}, 2)
@@ -17,6 +18,10 @@ REPORT_REPR = "UniquenessReport(site_verdicts=(True, False), term_count=2)"
 
 # (type, arguments, fields, defaults, compared by identity, hashable, repr)
 RECORDS = [
+    # a context holds lists, so it compares by value but has no hash
+    (contexts.Context, ([[1 + 0j]], (2.0,), [[2 + 0j]]),
+     ("basis", "eigenvalues", "operator"), {}, False, False,
+     "Context(basis=[[(1+0j)]], eigenvalues=(2.0,), operator=[[(2+0j)]])"),
     (logic.GreechieDiagram, (("a", "b"), (("a", "b"),), 2),
      ("atoms", "contexts", "dim", "name"), {"name": None}, False, True,
      "GreechieDiagram(atoms=('a', 'b'), contexts=(('a', 'b'),), dim=2, "

@@ -34,6 +34,29 @@ def test_no_dataclasses_import():
     assert found == []
 
 
+# names a module imports only for its callers, and the test that pins each
+REEXPORTS = {("states.py", "MAX_TOTAL_DIM")}  # test_states
+
+
+def test_no_unused_imports():
+    # a standard-library AST walk, so the check needs no linter: every
+    # name an import binds must be read somewhere in its module
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                key = (str(path.relative_to(PACKAGE)), name)
+                if name not in used and key not in REEXPORTS:
+                    found.append(f"{key[0]}:{node.lineno}: {name}")
+    assert found == []
+
+
 def test_traced_names_resolve():
     # the benchmark's tracer replaces these module attributes by name, so a
     # moved or renamed function would otherwise fail only in a traced run;

@@ -391,6 +391,15 @@ class TestStateFiles:
         psi = read_qs("sites 1\ndim 2\n1 0 0\n1 0 0\n-1 0 1\n")
         assert np.isclose(abs(psi.coeffs[0]), 2 / np.sqrt(5))
 
+    @pytest.mark.parametrize("text,message", [
+        ("sites 1\nsites 1\n", "line 2: expected 'dim <d>'"),
+        ("# header only\nsites 2\n", "missing 'sites'/'dim' header"),
+    ], ids=["second-directive", "no-dim"])
+    def test_header_messages(self, text, message):
+        for reader in (_text.parse_qs, read_qs):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                reader(text)
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -552,6 +561,19 @@ def test_kernel_trivial_cases():
             kernel(m)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: kernel(np.ones(3)), "kernel expects a matrix"),
+    (lambda: spin_matrices(1), "spin space dimension must be >= 2"),
+    (lambda: catalog_state("psi2").label_index(5), "level index 5 out of range"),
+    (lambda: catalog_state("psi2").overlap(catalog_state("ghzm")),
+     "states live on different spaces"),
+], ids=["kernel-of-a-vector", "spin-dimension-1", "level-index",
+        "overlap-across-spaces"])
+def test_shapes_and_ranges_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("rows,cols",
                          [(1, 4), (3, 7), (5, 6), (6, 6), (7, 3), (40, 57)])
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -660,3 +682,19 @@ def test_rotation_rejects_bad_inputs():
         rotation_unitary(4, [0, 0, 1], 0.1)
     with pytest.raises(ValueError):
         rotation_unitary(3, [0, 0, 0], 0.1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d,axis,angle,message", [
+    (2, (0, 0, 1), float("inf"), "rotation angle inf is not a finite number"),
+    (3, (0, 0, 1), float("nan"), "rotation angle nan is not a finite number"),
+    (2, (0, float("nan"), 1), 0.5,
+     r"axis \(0.0, nan, 1.0\) has a norm that is not a finite number"),
+    (3, (float("-inf"), 0, 0), 0.5,
+     r"axis \(-inf, 0.0, 0.0\) has a norm that is not a finite number"),
+    (2, (0, 1), 0.5, "axis must be a real 3-vector"),
+], ids=["inf-angle", "nan-angle", "nan-axis", "inf-axis", "2-vector-axis"])
+def test_rotation_refuses_what_is_not_a_rotation(d, axis, angle, message):
+    # these gave all-NaN matrices, some with numpy warnings and some silently
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rotation_unitary(d, axis, angle)
